@@ -263,12 +263,6 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def unit_shift_element(sys: System) -> Element:
-    from .elements import shift_element
-
-    return shift_element(sys)
-
-
 def cosine_element(sys: CircleTimesK) -> Element:
     """U * cos(2 pi x): the standard worked example on the circle."""
     cos = TrigPoly.from_coeffs({1: 0.5, -1: 0.5})

@@ -39,8 +39,6 @@ from .systems import (
     check_point,
 )
 
-_PRUNE = 0.0  # structural pruning drops exact float zeros only
-
 
 def _finite(c: complex, what: str) -> complex:
     c = complex(c)
@@ -65,7 +63,7 @@ class TrigPoly:
             sorted(
                 (int(k), _finite(c, "coefficient"))
                 for k, c in dict(mapping).items()
-                if complex(c) != _PRUNE
+                if complex(c) != 0
             )
         )
         return TrigPoly(items)

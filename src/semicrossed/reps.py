@@ -4,7 +4,8 @@ Four layouts (all numpy complex128, entries indexed from 0):
 
 * orbit truncation      -- n x n along a forward orbit; the shift is the
   lower subdiagonal, so power k of an element lands on band k with
-  M[i+k, i] = f_k(x_i) evaluated at the column's orbit point.
+  M[i+k, i] = f_k(x_i) evaluated at the column's orbit point
+  (``orbit_bands`` returns just those bands).
 * periodic orbit        -- p x p over a period-p point; the shift is the
   cyclic permutation scaled by a unit scalar lambda.
 * bilateral window      -- (2M+1) x (2M+1) compression over the two-sided
@@ -93,23 +94,39 @@ def _twisted_shift(p: int, lam: complex) -> np.ndarray:
 # matrix builders
 
 
+def orbit_bands(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
+    """(band+1) x n band values of the n x n forward-orbit truncation at x.
+
+    Requires a semicrossed element; row k holds V[k, c] = M[c+k, c] = f_k at
+    the c-th orbit point, zero where c+k >= n.
+    """
+    require_semicrossed(el)
+    if n < 1:
+        raise ValueError("size must be >= 1")
+    orbit = forward_orbit(sys, x, n)
+    out = np.zeros((el.max_power + 1, n), dtype=complex)
+    for k, f in el.coeffs:
+        if k >= n:
+            continue
+        out[k, : n - k] = [evaluate_base(sys, f.base, orbit[i]) for i in range(n - k)]
+    return out
+
+
+def _scatter_bands(bands: np.ndarray, n: int) -> np.ndarray:
+    """Leading n x n block of the lower-banded matrix with bands V[k, c] = M[c+k, c]."""
+    out = np.zeros((n, n), dtype=complex)
+    for k in range(min(bands.shape[0], n)):
+        out[np.arange(k, n), np.arange(0, n - k)] = bands[k, : n - k]
+    return out
+
+
 def orbit_matrix(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
     """n x n compression of the forward-orbit representation at x.
 
     Requires a semicrossed element; band k holds f_k evaluated along the
     first n-k orbit points.
     """
-    require_semicrossed(el)
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    orbit = forward_orbit(sys, x, n)
-    out = np.zeros((n, n), dtype=complex)
-    for k, f in el.coeffs:
-        if k >= n:
-            continue
-        vals = [evaluate_base(sys, f.base, orbit[i]) for i in range(n - k)]
-        out[np.arange(k, n), np.arange(0, n - k)] = vals
-    return out
+    return _scatter_bands(orbit_bands(sys, x, el, n), n)
 
 
 def periodic_matrix(sys: System, y: Point, lam: complex, el: Element) -> np.ndarray:

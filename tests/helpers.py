@@ -144,3 +144,48 @@ def doubling_orbit_fraction(x: Fraction, steps: int) -> list[Fraction]:
     for _ in range(steps - 1):
         out.append((out[-1] * 2) % 1)
     return out
+
+
+def dense_orbit_norm_estimate(sys, el, points, n_max: int = 256):
+    """The orbit ladder with a dense SVD at every (point, size) cell.
+
+    The loop ``orbit_norm_estimate`` ran before it learned to skip cells that
+    cannot move the bracket; kept as the reference its output must equal
+    exactly.
+    """
+    from semicrossed.elements import l1_upper_bound, require_semicrossed
+    from semicrossed.errors import WindowTooSmall
+    from semicrossed.functions import NormBracket
+    from semicrossed.norms import NormEstimate, _ladder, _point_label, spectral_norm
+    from semicrossed.reps import orbit_matrix
+
+    require_semicrossed(el)
+    if not points:
+        raise ValueError("need at least one sample point")
+    band = el.max_power
+    if n_max < band + 1:
+        raise WindowTooSmall(f"n_max must be at least the band width {band + 1}")
+    sizes = _ladder(n_max)
+    best = 0.0
+    witness = ""
+    by_size = {n: 0.0 for n in sizes}
+    for x in points:
+        full = orbit_matrix(sys, x, el, n_max)
+        for n in sizes:
+            val = spectral_norm(full[:n, :n])
+            if val > by_size[n]:
+                by_size[n] = val
+            if val > best:
+                best = val
+                witness = f"orbit x={_point_label(x)} n={n}"
+    running = 0.0
+    traces = []
+    for n in sizes:
+        running = max(running, by_size[n])
+        traces.append((f"n={n}", running))
+    upper = max(l1_upper_bound(el), best)
+    return NormEstimate(
+        NormBracket(best, upper, witness, "coefficient l1 sum"),
+        tuple(traces),
+        witness,
+    )

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +34,20 @@ def demo_cfg(tmp_path):
     return str(path)
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_readme_demo_norm_golden(capsys):
+    # the README's `semicrossed --config demo.cfg norm F`, pinned to its output
+    code, out = run_cli(capsys, "--config", str(DATA / "demo.cfg"), "norm", "F")
+    assert code == 0
+    assert out == (DATA / "demo_norm_F.tsv").read_text()
 
 
 def test_parse_config_roundtrip():

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semicrossed as sc
-from helpers import power_iteration_norm
+from helpers import dense_orbit_norm_estimate, power_iteration_norm
+from semicrossed import norms
+from semicrossed.norms import (
+    _SKIP_BAND_LIMIT,
+    _SKIP_SLACK,
+    _certify_below,
+    _ladder,
+    _skip_pays,
+)
 
 
 def cosine():
@@ -71,6 +81,105 @@ def test_orbit_estimate_constant(doubling):
 def test_orbit_estimate_window_guard(doubling):
     with pytest.raises(sc.WindowTooSmall):
         sc.orbit_norm_estimate(doubling, sc.shift_element(doubling, 9), [sc.rational(1, 3)], 8)
+
+
+def _one_minus_e100(sys):
+    return sc.from_base(sys, sc.TrigPoly.from_coeffs({0: 1, 100: -1}))
+
+
+def _bit_identity_cases():
+    doubling, tripling = sc.CircleTimesK(2), sc.CircleTimesK(3)
+    golden = sc.golden_mean_shift()
+    perm = sc.PermutationSystem((1, 2, 0, 4, 3, 5))
+    random_circle = sc.random_semicrossed_element(doubling, 11, max_power=3)
+    return [
+        pytest.param(doubling, _one_minus_e100(doubling), 256, id="1-e(100x)"),
+        pytest.param(doubling, sc.constant_element(doubling, 0.0), 100, id="zero"),
+        pytest.param(doubling, sc.from_base(doubling, cosine()), 1, id="power0-nmax=band+1"),
+        pytest.param(doubling, random_circle, random_circle.max_power + 1, id="random-nmax=band+1"),
+        pytest.param(doubling, random_circle, 100, id="random-nmax=100"),
+        pytest.param(tripling, sc.random_semicrossed_element(tripling, 5, max_power=2), 256, id="tripling"),
+        pytest.param(golden, sc.random_semicrossed_element(golden, 3, max_power=3), 256, id="golden"),
+        pytest.param(golden, sc.random_semicrossed_element(golden, 4, max_power=0), 100, id="golden-power0"),
+        pytest.param(perm, sc.random_semicrossed_element(perm, 2, max_power=2), 100, id="permutation"),
+    ]
+
+
+@pytest.mark.parametrize("sys,el,n_max", _bit_identity_cases())
+def test_orbit_estimate_matches_dense_ladder(sys, el, n_max):
+    pts, _ = sc.default_samples(sys)
+    new = sc.orbit_norm_estimate(sys, el, pts, n_max)
+    ref = dense_orbit_norm_estimate(sys, el, pts, n_max)
+    assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+
+
+def test_orbit_estimate_wide_band_takes_dense_ladder(doubling, monkeypatch):
+    calls = []
+    monkeypatch.setattr(norms, "_certify_below", lambda *a: calls.append(a))
+    el = sc.shift_element(doubling, 200)
+    pts, _ = sc.default_samples(doubling)
+    new = sc.orbit_norm_estimate(doubling, el, pts, 256)
+    ref = dense_orbit_norm_estimate(doubling, el, pts, 256)
+    assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+    assert calls == []
+
+
+def test_skip_certificate_gate():
+    assert _skip_pays(93, 4, _ladder(256))
+    assert not _skip_pays(1, 4, _ladder(256))  # a lone point is its own floor
+    assert not _skip_pays(93, 9, _ladder(256))  # window too wide for the ladder
+    assert not _skip_pays(93, 200, _ladder(256))
+    huge = _ladder(2**30)
+    assert _skip_pays(2, _SKIP_BAND_LIMIT, huge)
+    assert not _skip_pays(2, _SKIP_BAND_LIMIT + 1, huge)  # beyond the slack derivation
+
+
+@pytest.mark.parametrize("n_max", [16, 256], ids=["dense", "certified"])
+def test_orbit_estimate_non_finite_bands(doubling, n_max):
+    huge = sc.from_base(doubling, sc.TrigPoly.from_coeffs({0: 1e308, 1: 1e308}))
+    with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
+        sc.orbit_norm_estimate(doubling, huge, [sc.rational(1, 3), sc.rational(0, 1)], n_max)
+
+
+def _lower_banded(seed: int, n: int, band: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    bands = rng.normal(size=(1, band + 1, n)) + 1j * rng.normal(size=(1, band + 1, n))
+    for k in range(band + 1):
+        bands[0, k, max(n - k, 0) :] = 0.0
+    return bands
+
+
+def _dense(bands: np.ndarray) -> np.ndarray:
+    n = bands.shape[2]
+    m = np.zeros((n, n), dtype=complex)
+    for k in range(min(bands.shape[1], n)):
+        m[np.arange(k, n), np.arange(n - k)] = bands[0, k, : n - k]
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), band=st.integers(0, 4))
+def test_skip_certificate_is_sound(seed, n, band):
+    bands = _lower_banded(seed, n, band)
+    norm = float(np.linalg.norm(_dense(bands), 2))
+    # thresholds at, just below and just above the norm, plus a clear margin
+    rel = [0.0, 1 - 1e-12, 1.0, 1 + _SKIP_SLACK / 8, 1 + 1e-9, 1.01]
+    thr = norm * np.array(rel)
+    ok = _certify_below(bands, thr, [n] * len(thr))[:, 0]
+    for t, passed in zip(thr, ok):
+        if passed:
+            assert norm < t
+    assert ok[-1]  # a 1% margin is far above the slack
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), band=st.integers(0, 4), data=st.data())
+def test_skip_certificate_rejects_nan(seed, n, band, data):
+    bands = _lower_banded(seed, n, band)
+    k = data.draw(st.integers(0, min(band, n - 1)))
+    bands[0, k, data.draw(st.integers(0, n - k - 1))] = np.nan
+    ok = _certify_below(bands, np.array([1e3, 1e6]), [n, n])
+    assert not ok.any()
 
 
 def test_periodic_estimate_one_plus_u(doubling):
