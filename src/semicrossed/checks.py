@@ -22,7 +22,6 @@ from .elements import (
     add,
     compose_shift_element,
     constant_element,
-    element,
     from_base,
     is_semicrossed,
     l1_upper_bound,
@@ -39,7 +38,7 @@ from .extension import (
     shift,
     verify_transfer,
 )
-from .functions import TrigPoly, evaluate, evaluate_base, ext
+from .functions import TrigPoly, evaluate, evaluate_base
 from .norms import (
     bilateral_orbit_check,
     embedding_check,
@@ -304,14 +303,12 @@ def _oracle_periodic_scan(sys, el: Element, y, grid: int, refine: int = 100):
     cls = classify(sys, y)
     p = cls.period
     orbit = forward_orbit(sys, y, p)
-    shift_mat = np.zeros((p, p), dtype=complex)
-    for i in range(p):
-        shift_mat[i, (i - 1) % p] = 1.0
     bands = []
     for k, f in el.coeffs:
-        ck = np.linalg.matrix_power(shift_mat, k)
-        dk = np.diag([evaluate_base(sys, f.base, pt) for pt in orbit])
-        bands.append((k, ck @ dk))
+        ck = np.zeros((p, p), dtype=complex)
+        for i, pt in enumerate(orbit):  # U^k f_k moves e_i to e_{i+k mod p}
+            ck[(i + k) % p, i] = evaluate_base(sys, f.base, pt)
+        bands.append((k, ck))
     stack = np.stack([m for _, m in bands])
     ks = np.array([k for k, _ in bands])
 

@@ -333,17 +333,18 @@ def _parse_lift(sys_: System, pt_tok: str, chooser_tok: str):
 
 
 def _parse_repspec(sys_: System, tok: str):
-    parts = tok.split(":")
-    kind = parts[0]
-    if kind == "orbit" and len(parts) == 3:
-        return OrbitTruncation(_parse_point(sys_, parts[1]), int(parts[2]))
-    if kind == "periodic" and len(parts) >= 3:
-        lam = _parse_lambda(":".join(parts[2:]))
-        return PeriodicOrbitRep(_parse_point(sys_, parts[1]), lam)
-    if kind == "bilateral" and len(parts) == 4:
-        return BilateralWindowRep(_parse_lift(sys_, parts[1], parts[2]), int(parts[3]))
-    if kind == "backward" and len(parts) == 4:
-        return BackwardOrbitRep(_parse_lift(sys_, parts[1], parts[2]), int(parts[3]))
+    kind, *parts = tok.split(":")
+    # word:<pre,cyc> and state:<n> points hold a colon, and so does seeded:N
+    cut = 2 if parts and parts[0] in ("word", "state") else 1
+    pt, rest = ":".join(parts[:cut]), parts[cut:]
+    if kind == "orbit" and len(rest) == 1:
+        return OrbitTruncation(_parse_point(sys_, pt), int(rest[0]))
+    if kind == "periodic" and rest:
+        return PeriodicOrbitRep(_parse_point(sys_, pt), _parse_lambda(":".join(rest)))
+    if kind in ("bilateral", "backward") and len(rest) >= 2:
+        lift = _parse_lift(sys_, pt, ":".join(rest[:-1]))
+        rep = BilateralWindowRep if kind == "bilateral" else BackwardOrbitRep
+        return rep(lift, int(rest[-1]))
     raise ConfigError(
         "rep specs: orbit:<pt>:<n> | periodic:<pt>:<lambda> | "
         "bilateral:<pt>:<chooser>:<M> | backward:<pt>:<chooser>:<n>"

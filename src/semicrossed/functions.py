@@ -31,7 +31,6 @@ from .systems import (
     CircleTimesK,
     PermutationSystem,
     Point,
-    RationalPoint,
     ShiftOfFiniteType,
     StatePoint,
     System,

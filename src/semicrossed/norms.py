@@ -19,15 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from .elements import Element, l1_upper_bound, require_semicrossed
-from .errors import BadLambda, NonFinite, NotPeriodic, WindowTooSmall
+from .errors import NonFinite, NotPeriodic, WindowTooSmall
 from .extension import ExtPoint, shift_power
 from .functions import NormBracket, evaluate_base, ext_sup_norm
 from .reps import (
-    _assemble_periodic,
     _check_lambda,
-    _cyclic_shift,
+    _cycle,
+    _lambda_sum,
+    _periodic_orbit,
     _scatter_bands,
-    _twisted_shift,
     bilateral_matrix,
     orbit_bands,
     orbit_matrix,
@@ -308,17 +308,12 @@ def periodic_norm_estimate(
         cls = classify(sys, y)
         if not cls.is_periodic:
             raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
-        p = cls.period
-        orbit = forward_orbit(sys, y, p)
-        cyc = _cyclic_shift(p)
+        orbit = forward_orbit(sys, y, cls.period)
         # stack sum_k lam^k * C^k D_k over the lambda grid in one shot
-        bands = []
-        for k, f in el.coeffs:
-            ck = np.linalg.matrix_power(cyc, k)
-            dk = np.diag([evaluate_base(sys, f.base, pt) for pt in orbit])
-            bands.append((k, ck @ dk))
-        powers = np.stack([lams ** k for k, _ in bands], axis=1)  # (L, nbands)
-        mats = np.einsum("lk,kij->lij", powers, np.stack([m for _, m in bands]))
+        values = {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs}
+        bands = _cycle(values, cls.period)
+        powers = np.stack([lams ** k for k in bands], axis=1)  # (L, nbands)
+        mats = np.einsum("lk,kij->lij", powers, np.stack(list(bands.values())))
         svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
         per_lambda = np.maximum(per_lambda, svals)
         j = int(np.argmax(svals))
@@ -403,16 +398,10 @@ def twisted_periodic_matrix(sys: System, y: Point, lam: complex, el: Element) ->
     """
     require_semicrossed(el)
     lam = _check_lambda(lam)
-    cls = classify(sys, y)
-    if not cls.is_periodic:
-        raise NotPeriodic(f"point is {cls.kind}")
-    p = cls.period
-    orbit = forward_orbit(sys, y, p)
-    return _assemble_periodic(
-        _twisted_shift(p, lam),
-        {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs},
-        p,
-    )
+    orbit = _periodic_orbit(sys, y)
+    p = len(orbit)
+    values = {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs}
+    return _lambda_sum(_cycle(values, p, wraps=True), lam, p)
 
 
 def periodic_vector_check(
@@ -511,7 +500,7 @@ def embedding_check(
 
 
 def _point_label(x: Point) -> str:
-    from .systems import ProceduralWordPoint, RationalPoint, StatePoint, WordPoint
+    from .systems import RationalPoint, StatePoint, WordPoint
 
     if isinstance(x, RationalPoint):
         return f"{x.value.numerator}/{x.value.denominator}"
@@ -521,6 +510,4 @@ def _point_label(x: Point) -> str:
         return f"{pre}({cyc})"
     if isinstance(x, StatePoint):
         return str(x.state)
-    if isinstance(x, ProceduralWordPoint):
-        return f"proc:{x.label}"
     return repr(x)

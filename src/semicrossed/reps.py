@@ -1,21 +1,24 @@
 """Finite matrix compressions of the covariant representation families.
 
-Four layouts (all numpy complex128, entries indexed from 0):
+Each layout puts coefficient values along a sequence of points on band k
+(power k of the shift), through one of two placements (numpy complex128,
+entries indexed from 0):
 
-* orbit truncation      -- n x n along a forward orbit; the shift is the
-  lower subdiagonal, so power k of an element lands on band k with
-  M[i+k, i] = f_k(x_i) evaluated at the column's orbit point
-  (``orbit_bands`` returns just those bands).
-* periodic orbit        -- p x p over a period-p point; the shift is the
-  cyclic permutation scaled by a unit scalar lambda.
-* bilateral window      -- (2M+1) x (2M+1) compression over the two-sided
-  orbit of an extended point, coordinates -M..M.
-* backward orbit        -- n x n for right-form (relation-2) elements along
-  a backward orbit, with band entries evaluated at the row's coordinate.
+* ``_chain``, an open chain: column c of band k goes to (c+k, c).
+* ``_cycle``, a p-cycle: column c of band k goes to ((c+k) mod p, c) and
+  carries lambda^k (lambda scales the shift) or lambda^((c+k)//p) (lambda
+  sits on the wraparound entry, ``norms.twisted_periodic_matrix``).
+
+Four public families call them: ``orbit_matrix`` (chain along a forward
+orbit, M[i+k, i] = f_k(x_i); ``orbit_bands`` returns just those bands),
+``periodic_matrix`` (cycle over a period-p point), ``bilateral_matrix``
+(chain over the two-sided orbit of an extended point, coordinates -M..M)
+and ``backward_matrix`` (chain for right-form elements along a backward
+orbit, band entries read at the row's coordinate).
 
 ``covariance_defect`` measures the defining relation on any of these and
-``invariant_subspaces_are_tails`` enumerates coordinate subspaces invariant
-under an orbit representation's generators.
+``invariant_subspaces_are_tails`` decides which coordinate subspaces are
+invariant under an orbit representation's generators.
 """
 
 from __future__ import annotations
@@ -75,19 +78,49 @@ def _check_lambda(lam: complex) -> complex:
     return lam
 
 
-def _cyclic_shift(p: int) -> np.ndarray:
-    c = np.zeros((p, p), dtype=complex)
-    for i in range(p):
-        c[i, (i - 1) % p] = 1.0
-    return c
+def _periodic_orbit(sys: System, y: Point) -> list[Point]:
+    """The p points of y's cycle; raises NotPeriodic otherwise."""
+    cls = classify(sys, y)
+    if not cls.is_periodic:
+        raise NotPeriodic(f"point is {cls.kind}")
+    return forward_orbit(sys, y, cls.period)
 
 
-def _twisted_shift(p: int, lam: complex) -> np.ndarray:
-    # lambda on the wraparound entry instead of a global scalar; unitarily
-    # equivalent to lam^(1/p) scaling and used for the periodic-vector check
-    c = _cyclic_shift(p)
-    c[0, p - 1] = lam
-    return c
+# ---------------------------------------------------------------------------
+# band placement: the only code that puts values into matrix entries
+
+
+def _chain(values, n: int) -> np.ndarray:
+    """n x n open chain: values[k][i] goes to (c+k, c) with c = max(0, -k) + i."""
+    out = np.zeros((n, n), dtype=complex)
+    for k, vals in values.items():
+        cols = max(0, -k) + np.arange(len(vals))
+        out[cols + k, cols] = vals
+    return out
+
+
+def _cycle(values, p: int, wraps: bool = False) -> dict[int, np.ndarray]:
+    """p-cycle placements of values[k][c] at ((c+k) mod p, c), unscaled.
+
+    Returns {e: p x p matrix} grouped by the power e of lambda each entry
+    carries: e = k, or with ``wraps`` the wrap count (c+k) // p.  No two
+    entries of one group share a position.
+    """
+    cols = np.arange(p)
+    groups: dict[int, np.ndarray] = {}
+    for k, vals in values.items():
+        vals = np.asarray(vals, dtype=complex)
+        exps = (cols + k) // p if wraps else np.full(p, k)
+        for e in range(exps[0], exps[-1] + 1):  # exps never decreases along c
+            at = exps == e
+            out = groups.setdefault(e, np.zeros((p, p), dtype=complex))
+            out[(cols[at] + k) % p, cols[at]] = vals[at]
+    return groups
+
+
+def _lambda_sum(groups: dict[int, np.ndarray], lam: complex, p: int) -> np.ndarray:
+    """sum_e lam^e * groups[e], the cycle at one unit scalar."""
+    return sum((lam**e * placed for e, placed in groups.items()), np.zeros((p, p), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +147,7 @@ def orbit_bands(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
 
 def _scatter_bands(bands: np.ndarray, n: int) -> np.ndarray:
     """Leading n x n block of the lower-banded matrix with bands V[k, c] = M[c+k, c]."""
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(min(bands.shape[0], n)):
-        out[np.arange(k, n), np.arange(0, n - k)] = bands[k, : n - k]
-    return out
+    return _chain({k: bands[k, : n - k] for k in range(min(bands.shape[0], n))}, n)
 
 
 def orbit_matrix(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
@@ -133,17 +163,10 @@ def periodic_matrix(sys: System, y: Point, lam: complex, el: Element) -> np.ndar
     """p x p periodic-orbit representation with the shift scaled by lambda."""
     require_semicrossed(el)
     lam = _check_lambda(lam)
-    cls = classify(sys, y)
-    if not cls.is_periodic:
-        raise NotPeriodic(f"point is {cls.kind}")
-    p = cls.period
-    orbit = forward_orbit(sys, y, p)
-    shift_mat = lam * _cyclic_shift(p)
-    return _assemble_periodic(
-        shift_mat,
-        {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs},
-        p,
-    )
+    orbit = _periodic_orbit(sys, y)
+    p = len(orbit)
+    values = {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs}
+    return _lambda_sum(_cycle(values, p), lam, p)
 
 
 def periodic_ext_matrix(sys: System, lift: PeriodicLift, lam: complex, el: Element) -> np.ndarray:
@@ -155,29 +178,8 @@ def periodic_ext_matrix(sys: System, lift: PeriodicLift, lam: complex, el: Eleme
     lam = _check_lambda(lam)
     p = lift.period
     pts = [shift_power(sys, lift, j) for j in range(p)]
-    shift_mat = lam * _cyclic_shift(p)
-    return _assemble_periodic(
-        shift_mat,
-        {k: [evaluate(sys, f, pt) for pt in pts] for k, f in el.coeffs},
-        p,
-    )
-
-
-def _assemble_periodic(shift_mat: np.ndarray, diag_values, p: int) -> np.ndarray:
-    out = np.zeros((p, p), dtype=complex)
-    powers: dict[int, np.ndarray] = {0: np.eye(p, dtype=complex)}
-
-    def shift_pow(k: int) -> np.ndarray:
-        if k not in powers:
-            if k > 0:
-                powers[k] = shift_pow(k - 1) @ shift_mat
-            else:
-                powers[k] = np.linalg.inv(shift_mat) @ shift_pow(k + 1)
-        return powers[k]
-
-    for k, vals in diag_values.items():
-        out += shift_pow(k) @ np.diag(np.asarray(vals, dtype=complex))
-    return out
+    values = {k: [evaluate(sys, f, pt) for pt in pts] for k, f in el.coeffs}
+    return _lambda_sum(_cycle(values, p), lam, p)
 
 
 def bilateral_matrix(sys: System, xt: ExtPoint, el: Element, half_width: int) -> np.ndarray:
@@ -193,13 +195,11 @@ def bilateral_matrix(sys: System, xt: ExtPoint, el: Element, half_width: int) ->
         raise WindowTooSmall(f"half width {m} < band {band}")
     size = 2 * m + 1
     pts = [shift_power(sys, xt, j - m) for j in range(size)]
-    out = np.zeros((size, size), dtype=complex)
-    for k, f in el.coeffs:
-        cols = np.arange(max(0, -k), min(size, size - k))
-        rows = cols + k
-        vals = [evaluate(sys, f, pts[j]) for j in cols]
-        out[rows, cols] = vals
-    return out
+    values = {
+        k: [evaluate(sys, f, pts[c]) for c in range(max(0, -k), size - max(0, k))]
+        for k, f in el.coeffs
+    }
+    return _chain(values, size)
 
 
 def backward_matrix(sys: System, orbit_pt: ExtPoint, g: RightFormElement, n: int) -> np.ndarray:
@@ -215,14 +215,13 @@ def backward_matrix(sys: System, orbit_pt: ExtPoint, g: RightFormElement, n: int
     if n < 1:
         raise ValueError("size must be >= 1")
     coords = [orbit_pt.coordinate(j) for j in range(1, n + 1)]
-    out = np.zeros((n, n), dtype=complex)
-    for k, f in g.coeffs:
-        if k >= n:
-            continue
-        rows = np.arange(k, n)
-        vals = [evaluate_base(sys, f.base, coords[i]) for i in rows]
-        out[rows, rows - k] = vals
-    return out
+    # column c of band k reads the coordinate of its row c+k
+    values = {
+        k: [evaluate_base(sys, f.base, coords[c + k]) for c in range(n - k)]
+        for k, f in g.coeffs
+        if k < n
+    }
+    return _chain(values, n)
 
 
 def rep_matrix(sys: System, spec: RepSpec, el) -> np.ndarray:
@@ -259,12 +258,10 @@ def covariance_defect(
         relation = 2 if isinstance(spec, BackwardOrbitRep) else 1
     if relation not in (1, 2):
         raise ValueError("relation must be 1 or 2")
-    rho_u, rho_f, rho_fphi = _relation_pieces(sys, spec, f)
+    rho_u, df, dphi = _relation_pieces(sys, spec, f)
     # rho(f) is diagonal in every layout, so the commutator entry factors as
     # (value difference) * u[i, j]; the factored form keeps exact symbolic
     # evaluations exactly covariant where matmul rounding would not.
-    df = np.diagonal(rho_f)
-    dphi = np.diagonal(rho_fphi)
     if relation == 1:
         defect = (df[:, None] - dphi[None, :]) * rho_u
     else:
@@ -273,43 +270,29 @@ def covariance_defect(
 
 
 def _relation_pieces(sys: System, spec: RepSpec, f: BaseFunction):
+    """rho(U) and the diagonals of rho(f) and rho(f∘phi) in one layout."""
     fphi = compose_map(sys, f)
+    lam = None
     if isinstance(spec, OrbitTruncation):
-        orbit = forward_orbit(sys, spec.point, spec.size)
-        n = spec.size
-        u = np.zeros((n, n), dtype=complex)
-        u[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-        d = np.diag([evaluate_base(sys, f, x) for x in orbit])
-        dphi = np.diag([evaluate_base(sys, fphi, x) for x in orbit])
-        return u, d, dphi
-    if isinstance(spec, PeriodicOrbitRep):
+        pts = forward_orbit(sys, spec.point, spec.size)
+    elif isinstance(spec, PeriodicOrbitRep):
         lam = _check_lambda(spec.lam)
-        cls = classify(sys, spec.point)
-        if not cls.is_periodic:
-            raise NotPeriodic(f"point is {cls.kind}")
-        orbit = forward_orbit(sys, spec.point, cls.period)
-        u = lam * _cyclic_shift(cls.period)
-        d = np.diag([evaluate_base(sys, f, x) for x in orbit])
-        dphi = np.diag([evaluate_base(sys, fphi, x) for x in orbit])
-        return u, d, dphi
-    if isinstance(spec, BilateralWindowRep):
+        pts = _periodic_orbit(sys, spec.point)
+    elif isinstance(spec, BilateralWindowRep):
         m = spec.half_width
-        size = 2 * m + 1
-        pts = [project(shift_power(sys, spec.point, j - m)) for j in range(size)]
-        u = np.zeros((size, size), dtype=complex)
-        u[np.arange(1, size), np.arange(0, size - 1)] = 1.0
-        d = np.diag([evaluate_base(sys, f, x) for x in pts])
-        dphi = np.diag([evaluate_base(sys, fphi, x) for x in pts])
-        return u, d, dphi
-    if isinstance(spec, BackwardOrbitRep):
-        n = spec.size
-        coords = [spec.point.coordinate(j) for j in range(1, n + 1)]
-        u = np.zeros((n, n), dtype=complex)
-        u[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-        d = np.diag([evaluate_base(sys, f, x) for x in coords])
-        dphi = np.diag([evaluate_base(sys, fphi, x) for x in coords])
-        return u, d, dphi
-    raise TypeError(f"unknown representation spec {spec!r}")
+        pts = [project(shift_power(sys, spec.point, j - m)) for j in range(2 * m + 1)]
+    elif isinstance(spec, BackwardOrbitRep):
+        pts = [spec.point.coordinate(j) for j in range(1, spec.size + 1)]
+    else:
+        raise TypeError(f"unknown representation spec {spec!r}")
+    n = len(pts)
+    if lam is None:
+        u = _chain({1: np.ones(n - 1)}, n)
+    else:
+        u = _lambda_sum(_cycle({1: np.ones(n)}, n), lam, n)
+    d = np.array([evaluate_base(sys, f, x) for x in pts])
+    dphi = np.array([evaluate_base(sys, fphi, x) for x in pts])
+    return u, d, dphi
 
 
 # ---------------------------------------------------------------------------
@@ -325,31 +308,30 @@ def invariant_subspaces_are_tails(
 ) -> bool:
     """True when the only invariant coordinate subspaces are the tails.
 
-    Builds the n x n orbit matrices of the shift and of each listed base
-    function, then enumerates all 2^n coordinate subsets (n <= 12): a subset
-    S is invariant when every generator maps span{e_i : i in S} into itself.
-    The expected family is the empty set plus the suffix subspaces
-    {k, ..., n-1}.  Raises OrbitCollision if the first n orbit points repeat.
+    Decides coordinate subspaces span{e_i : i in S} only.  Builds the n x n
+    orbit matrices of the shift and of each listed base function; S is
+    invariant when it is closed in their support digraph (an edge i -> j
+    wherever some generator has |m[j, i]| > tol), so reachability decides
+    all 2^n subsets at once.  The expected family is the empty set plus the
+    suffix subspaces {k, ..., n-1}, i.e. each i reaches exactly {i, ..., n-1}.
+    Raises OrbitCollision if the first n orbit points repeat.
     """
-    if n < 1 or n > 12:
-        raise ValueError("n must be between 1 and 12")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     orbit = forward_orbit(sys, x, n)
-    keys = [point_key(p) for p in orbit]
-    if len(set(keys)) != n:
+    if len({point_key(p) for p in orbit}) != n:
         raise OrbitCollision("forward orbit repeats inside the window")
-    mats = [np.zeros((n, n), dtype=complex)]
-    mats[0][np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    for f in funcs:
-        mats.append(np.diag([evaluate_base(sys, f, p) for p in orbit]))
-    expected = {frozenset()} | {frozenset(range(k, n)) for k in range(n)}
-    found = set()
-    for mask in range(2 ** n):
-        s = frozenset(i for i in range(n) if mask >> i & 1)
-        comp = [i for i in range(n) if i not in s]
-        cols = list(s)
-        if all(
-            np.max(np.abs(m[np.ix_(comp, cols)])) <= tol if comp and cols else True
-            for m in mats
-        ):
-            found.add(s)
-    return found == expected
+    mats = [_chain({1: np.ones(n - 1)}, n)]
+    mats += [_chain({0: [evaluate_base(sys, f, p) for p in orbit]}, n) for f in funcs]
+    return _closed_sets_are_tails(mats, tol)
+
+
+def _closed_sets_are_tails(mats: Sequence[np.ndarray], tol: float) -> bool:
+    """Whether the subsets closed under the edges i -> j with |m[j, i]| > tol
+    (for any m in mats) are exactly the empty set and the tails."""
+    n = mats[0].shape[0]
+    # reach[j, i] > 0 when i reaches j; `not <= tol` makes a NaN entry an edge
+    reach = np.eye(n) + sum(~(np.abs(m) <= tol) for m in mats)
+    for _ in range(n.bit_length()):  # paths of every length below 2^bits
+        reach = (reach @ reach > 0).astype(float)
+    return bool(np.array_equal(reach, np.tril(np.ones((n, n)))))

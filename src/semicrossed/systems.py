@@ -14,10 +14,9 @@ All operations are deterministic and exact where the representation allows.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     InvalidMatrix,
@@ -172,36 +171,13 @@ def word(pre: Sequence[int], cyc: Sequence[int]) -> WordPoint:
 
 
 @dataclass(frozen=True)
-class ProceduralWordPoint:
-    """One-sided sequence given by a black-box symbol generator.
-
-    prepend and offset let shifts and preimages stay cheap; ``label`` plus
-    those fields identify the point for deterministic hashing.  Equality of
-    the underlying sequences is only semi-decidable, so structural equality
-    is intentionally narrow.
-    """
-
-    gen: Callable[[int], int] = field(compare=False)
-    label: str
-    offset: int = 0
-    prepend: tuple[int, ...] = ()
-
-    def symbol(self, i: int) -> int:
-        if i < len(self.prepend):
-            return self.prepend[i]
-        return self.gen(i - len(self.prepend) + self.offset)
-
-
-@dataclass(frozen=True)
 class StatePoint:
     """Point of a finite permutation system."""
 
     state: int
 
 
-Point = Union[RationalPoint, WordPoint, ProceduralWordPoint, StatePoint]
-
-WordLike = (WordPoint, ProceduralWordPoint)
+Point = Union[RationalPoint, WordPoint, StatePoint]
 
 
 def point_key(x: Point):
@@ -210,9 +186,6 @@ def point_key(x: Point):
         return ("r", x.value.numerator, x.value.denominator)
     if isinstance(x, WordPoint):
         return ("w", x.preperiod, x.cycle)
-    if isinstance(x, ProceduralWordPoint):
-        # identify by label/offset/prepend plus a fixed-depth fingerprint
-        return ("p", x.label, x.offset, x.prepend, tuple(x.symbol(i) for i in range(32)))
     if isinstance(x, StatePoint):
         return ("s", x.state)
     raise KindMismatch(f"not a point: {x!r}")
@@ -233,15 +206,8 @@ def check_point(sys: System, x: Point) -> None:
             for a, b in zip(seq, seq[1:]):
                 if not sys.allows(a, b):
                     raise KindMismatch(f"word contains forbidden transition {a}->{b}")
-        elif isinstance(x, ProceduralWordPoint):
-            # admissibility of the black-box tail is the constructor's promise;
-            # check the visible prefix only
-            for i in range(len(x.prepend)):
-                a, b = x.symbol(i), x.symbol(i + 1)
-                if not sys.allows(a, b):
-                    raise KindMismatch(f"word contains forbidden transition {a}->{b}")
         else:
-            raise KindMismatch("SFT systems use WordPoint or ProceduralWordPoint")
+            raise KindMismatch("SFT systems use WordPoint")
     elif isinstance(sys, PermutationSystem):
         if not isinstance(x, StatePoint) or not 0 <= x.state < sys.size:
             raise KindMismatch("permutation systems use StatePoint in range")
@@ -294,14 +260,10 @@ def apply_map(sys: System, x: Point) -> Point:
     if isinstance(sys, CircleTimesK):
         return RationalPoint((sys.k * x.value) % 1)
     if isinstance(sys, ShiftOfFiniteType):
-        if isinstance(x, WordPoint):
-            if x.preperiod:
-                return WordPoint(x.preperiod[1:], x.cycle)
-            c = x.cycle
-            return WordPoint((), c[1:] + c[:1])
-        if x.prepend:
-            return ProceduralWordPoint(x.gen, x.label, x.offset, x.prepend[1:])
-        return ProceduralWordPoint(x.gen, x.label, x.offset + 1, ())
+        if x.preperiod:
+            return WordPoint(x.preperiod[1:], x.cycle)
+        c = x.cycle
+        return WordPoint((), c[1:] + c[:1])
     return StatePoint(sys.images[x.state])
 
 
@@ -313,18 +275,12 @@ def preimages(sys: System, x: Point) -> list[Point]:
             RationalPoint(Fraction(x.value + j, sys.k)) for j in range(sys.k)
         ]
     elif isinstance(sys, ShiftOfFiniteType):
-        first = x.symbol(0) if isinstance(x, ProceduralWordPoint) else (
-            x.preperiod[0] if x.preperiod else x.cycle[0]
-        )
-        out = []
-        for a in range(sys.alphabet):
-            if sys.allows(a, first):
-                if isinstance(x, WordPoint):
-                    out.append(WordPoint((a,) + x.preperiod, x.cycle))
-                else:
-                    out.append(
-                        ProceduralWordPoint(x.gen, x.label, x.offset, (a,) + x.prepend)
-                    )
+        first = x.symbol(0)
+        out = [
+            WordPoint((a,) + x.preperiod, x.cycle)
+            for a in range(sys.alphabet)
+            if sys.allows(a, first)
+        ]
     else:
         out = [StatePoint(sys.inverse(x.state))]
     return sorted(out, key=point_key)
@@ -345,7 +301,7 @@ def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
 
     Exact for rational, word, and state points whenever max_steps covers the
     orbit's transient (for p/q under CircleTimesK at most q steps are ever
-    needed).  Procedural words are reported Unresolved.
+    needed).
     """
     check_point(sys, x)
     if isinstance(x, WordPoint):
@@ -356,8 +312,6 @@ def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
             if q == 0
             else Classification.eventually_periodic(q, p)
         )
-    if isinstance(x, ProceduralWordPoint):
-        return Classification.unresolved(max_steps)
     seen: dict = {}
     cur = x
     for i in range(max_steps + 1):

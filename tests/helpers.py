@@ -189,3 +189,231 @@ def dense_orbit_norm_estimate(sys, el, points, n_max: int = 256):
         tuple(traces),
         witness,
     )
+
+
+# ---------------------------------------------------------------------------
+# The matrix builders as they stood before the chain/cycle placement kernel:
+# permutation-matrix powers, an inverse for negative powers, and one
+# scatter per layout.  Kept verbatim (renamed with a ``ref_`` prefix) as the
+# reference the package's builders must reproduce.
+
+
+def _ref_cyclic_shift(p: int) -> np.ndarray:
+    c = np.zeros((p, p), dtype=complex)
+    for i in range(p):
+        c[i, (i - 1) % p] = 1.0
+    return c
+
+
+def _ref_twisted_shift(p: int, lam: complex) -> np.ndarray:
+    # lambda on the wraparound entry instead of a global scalar; unitarily
+    # equivalent to lam^(1/p) scaling and used for the periodic-vector check
+    c = _ref_cyclic_shift(p)
+    c[0, p - 1] = lam
+    return c
+
+
+def _ref_scatter_bands(bands: np.ndarray, n: int) -> np.ndarray:
+    """Leading n x n block of the lower-banded matrix with bands V[k, c] = M[c+k, c]."""
+    out = np.zeros((n, n), dtype=complex)
+    for k in range(min(bands.shape[0], n)):
+        out[np.arange(k, n), np.arange(0, n - k)] = bands[k, : n - k]
+    return out
+
+
+def ref_orbit_matrix(sys, x, el, n: int) -> np.ndarray:
+    from semicrossed.reps import orbit_bands
+
+    return _ref_scatter_bands(orbit_bands(sys, x, el, n), n)
+
+
+def _ref_assemble_periodic(shift_mat: np.ndarray, diag_values, p: int) -> np.ndarray:
+    out = np.zeros((p, p), dtype=complex)
+    powers: dict[int, np.ndarray] = {0: np.eye(p, dtype=complex)}
+
+    def shift_pow(k: int) -> np.ndarray:
+        if k not in powers:
+            if k > 0:
+                powers[k] = shift_pow(k - 1) @ shift_mat
+            else:
+                powers[k] = np.linalg.inv(shift_mat) @ shift_pow(k + 1)
+        return powers[k]
+
+    for k, vals in diag_values.items():
+        out += shift_pow(k) @ np.diag(np.asarray(vals, dtype=complex))
+    return out
+
+
+def ref_periodic_matrix(sys, y, lam: complex, el) -> np.ndarray:
+    from semicrossed.elements import require_semicrossed
+    from semicrossed.errors import NotPeriodic
+    from semicrossed.functions import evaluate_base
+    from semicrossed.reps import _check_lambda
+    from semicrossed.systems import classify, forward_orbit
+
+    require_semicrossed(el)
+    lam = _check_lambda(lam)
+    cls = classify(sys, y)
+    if not cls.is_periodic:
+        raise NotPeriodic(f"point is {cls.kind}")
+    p = cls.period
+    orbit = forward_orbit(sys, y, p)
+    shift_mat = lam * _ref_cyclic_shift(p)
+    return _ref_assemble_periodic(
+        shift_mat,
+        {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs},
+        p,
+    )
+
+
+def ref_periodic_ext_matrix(sys, lift, lam: complex, el) -> np.ndarray:
+    from semicrossed.extension import shift_power
+    from semicrossed.functions import evaluate
+    from semicrossed.reps import _check_lambda
+
+    lam = _check_lambda(lam)
+    p = lift.period
+    pts = [shift_power(sys, lift, j) for j in range(p)]
+    shift_mat = lam * _ref_cyclic_shift(p)
+    return _ref_assemble_periodic(
+        shift_mat,
+        {k: [evaluate(sys, f, pt) for pt in pts] for k, f in el.coeffs},
+        p,
+    )
+
+
+def ref_twisted_periodic_matrix(sys, y, lam: complex, el) -> np.ndarray:
+    from semicrossed.elements import require_semicrossed
+    from semicrossed.errors import NotPeriodic
+    from semicrossed.functions import evaluate_base
+    from semicrossed.reps import _check_lambda
+    from semicrossed.systems import classify, forward_orbit
+
+    require_semicrossed(el)
+    lam = _check_lambda(lam)
+    cls = classify(sys, y)
+    if not cls.is_periodic:
+        raise NotPeriodic(f"point is {cls.kind}")
+    p = cls.period
+    orbit = forward_orbit(sys, y, p)
+    return _ref_assemble_periodic(
+        _ref_twisted_shift(p, lam),
+        {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs},
+        p,
+    )
+
+
+def ref_bilateral_matrix(sys, xt, el, half_width: int) -> np.ndarray:
+    from semicrossed.errors import WindowTooSmall
+    from semicrossed.extension import shift_power
+    from semicrossed.functions import evaluate
+
+    m = half_width
+    band = max((abs(k) for k, _ in el.coeffs), default=0)
+    if m < band:
+        raise WindowTooSmall(f"half width {m} < band {band}")
+    size = 2 * m + 1
+    pts = [shift_power(sys, xt, j - m) for j in range(size)]
+    out = np.zeros((size, size), dtype=complex)
+    for k, f in el.coeffs:
+        cols = np.arange(max(0, -k), min(size, size - k))
+        rows = cols + k
+        vals = [evaluate(sys, f, pts[j]) for j in cols]
+        out[rows, cols] = vals
+    return out
+
+
+def ref_backward_matrix(sys, orbit_pt, g, n: int) -> np.ndarray:
+    from semicrossed.elements import RightFormElement
+    from semicrossed.errors import WrongForm
+    from semicrossed.functions import evaluate_base
+
+    if not isinstance(g, RightFormElement):
+        raise WrongForm("backward-orbit representations take right-form elements")
+    if any(k < 0 or f.depth != 1 for k, f in g.coeffs):
+        raise WrongForm("right-form element must have nonnegative powers and depth-1 coefficients")
+    if n < 1:
+        raise ValueError("size must be >= 1")
+    coords = [orbit_pt.coordinate(j) for j in range(1, n + 1)]
+    out = np.zeros((n, n), dtype=complex)
+    for k, f in g.coeffs:
+        if k >= n:
+            continue
+        rows = np.arange(k, n)
+        vals = [evaluate_base(sys, f.base, coords[i]) for i in rows]
+        out[rows, rows - k] = vals
+    return out
+
+
+def ref_periodic_norm_estimate(sys, el, periodic_points, grid_size: int = 256):
+    """``periodic_norm_estimate`` with its band stack built from powers of
+    the cyclic permutation matrix."""
+    import math
+
+    from semicrossed.elements import l1_upper_bound, require_semicrossed
+    from semicrossed.errors import NotPeriodic
+    from semicrossed.functions import NormBracket, evaluate_base, ext_sup_norm
+    from semicrossed.norms import NormEstimate, _point_label
+    from semicrossed.systems import classify, forward_orbit
+
+    require_semicrossed(el)
+    if not periodic_points:
+        raise ValueError("need at least one periodic sample")
+    if grid_size < 8:
+        raise ValueError("grid_size must be >= 8")
+    lams = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    lip = sum(abs(k) * ext_sup_norm(f).upper for k, f in el.coeffs)
+    per_lambda = np.zeros(grid_size)
+    best = 0.0
+    witness = ""
+    for y in periodic_points:
+        cls = classify(sys, y)
+        if not cls.is_periodic:
+            raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
+        p = cls.period
+        orbit = forward_orbit(sys, y, p)
+        cyc = _ref_cyclic_shift(p)
+        # stack sum_k lam^k * C^k D_k over the lambda grid in one shot
+        bands = []
+        for k, f in el.coeffs:
+            ck = np.linalg.matrix_power(cyc, k)
+            dk = np.diag([evaluate_base(sys, f.base, pt) for pt in orbit])
+            bands.append((k, ck @ dk))
+        powers = np.stack([lams ** k for k, _ in bands], axis=1)  # (L, nbands)
+        mats = np.einsum("lk,kij->lij", powers, np.stack([m for _, m in bands]))
+        svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        per_lambda = np.maximum(per_lambda, svals)
+        j = int(np.argmax(svals))
+        if svals[j] > best:
+            best = float(svals[j])
+            witness = f"periodic y={_point_label(y)} angle={j}/{grid_size}"
+    certified = best + lip * math.pi / grid_size
+    upper = min(certified, l1_upper_bound(el))
+    upper = max(upper, best)
+    traces = tuple(
+        (f"angle={j}/{grid_size}", float(per_lambda[j])) for j in range(grid_size)
+    )
+    return NormEstimate(
+        NormBracket(best, upper, witness, "lambda grid + Lipschitz certificate"),
+        traces,
+        witness,
+    )
+
+
+# ---------------------------------------------------------------------------
+# invariant coordinate subspaces by exhaustive search
+
+
+def brute_invariant_subsets(mats, tol: float = 1e-12) -> set:
+    """Every coordinate subset S with each matrix mapping span{e_i : i in S}
+    into itself, found by testing all 2^n subsets (small n only)."""
+    n = mats[0].shape[0]
+    found = set()
+    for mask in range(2**n):
+        s = [i for i in range(n) if mask >> i & 1]
+        comp = [i for i in range(n) if not mask >> i & 1]
+        if not s or not comp or all(
+            np.max(np.abs(m[np.ix_(comp, s)])) <= tol for m in mats
+        ):
+            found.add(frozenset(s))
+    return found

@@ -4,6 +4,18 @@ from pathlib import Path
 
 import pytest
 
+from semicrossed import (
+    SeededRandom,
+    StatePoint,
+    WordPoint,
+    backward_matrix,
+    bilateral_matrix,
+    lift_point,
+    orbit_matrix,
+    periodic_matrix,
+    rational,
+    to_right_form,
+)
 from semicrossed.cli import main, parse_config
 
 DEMO = """
@@ -48,6 +60,62 @@ def test_readme_demo_norm_golden(capsys):
     code, out = run_cli(capsys, "--config", str(DATA / "demo.cfg"), "norm", "F")
     assert code == 0
     assert out == (DATA / "demo_norm_F.tsv").read_text()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["orbit:1/7:6", "periodic:1/7:angle:1/3", "bilateral:1/5:min:3", "backward:1/3:min:5"],
+)
+def test_readme_demo_repmat_golden(capsys, spec):
+    # one golden table per layout, captured before the chain/cycle placements
+    code, out = run_cli(capsys, "--config", str(DATA / "demo.cfg"), "repmat", spec, "F")
+    assert code == 0
+    assert out == (DATA / f"demo_repmat_{spec.split(':')[0]}.tsv").read_text()
+
+
+@pytest.mark.parametrize("kind", ["bilateral", "backward"])
+def test_repmat_seeded_chooser(capsys, kind):
+    cfg = parse_config((DATA / "demo.cfg").read_text())
+    code, out = run_cli(
+        capsys, "--config", str(DATA / "demo.cfg"), "repmat", f"{kind}:1/3:seeded:5:2", "F"
+    )
+    assert code == 0
+    lift = lift_point(cfg.system, rational(1, 3), SeededRandom(5))
+    el = cfg.elements["F"]
+    if kind == "bilateral":
+        want = bilateral_matrix(cfg.system, lift, el, 2)
+    else:
+        want = backward_matrix(cfg.system, lift, to_right_form(el), 2)
+    assert out.splitlines()[1:] == _cells(want)
+
+
+def _cells(mat):
+    return ["\t".join(f"{v.real:.6f},{v.imag:.6f}" for v in row) for row in mat]
+
+
+def test_repmat_word_and_state_points(capsys, tmp_path):
+    # word:<pre,cyc> and state:<n> points hold a colon inside the rep spec
+    gm = tmp_path / "gm.cfg"
+    gm.write_text(
+        "system {\n kind sft\n row 1 1\n row 1 0\n}\n"
+        "element W {\n term 0 cyl 1 0 0.5 1 (0,1)\n term 2 const 1\n}\n"
+    )
+    cfg = parse_config(gm.read_text())
+    code, out = run_cli(capsys, "--config", str(gm), "repmat", "orbit:word:,01:5", "W")
+    assert code == 0
+    want = orbit_matrix(cfg.system, WordPoint((), (0, 1)), cfg.elements["W"], 5)
+    assert out.splitlines()[1:] == _cells(want)
+
+    perm = tmp_path / "perm.cfg"
+    perm.write_text(
+        "system {\n kind permutation\n images 1 2 0\n}\n"
+        "element W {\n term 0 tab 1 2 3\n term 1 const 1\n}\n"
+    )
+    cfg = parse_config(perm.read_text())
+    code, out = run_cli(capsys, "--config", str(perm), "repmat", "periodic:state:0:angle:1/4", "W")
+    assert code == 0
+    want = periodic_matrix(cfg.system, StatePoint(0), 1j, cfg.elements["W"])
+    assert out.splitlines()[1:] == _cells(want)
 
 
 def test_parse_config_roundtrip():

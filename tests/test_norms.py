@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicrossed as sc
-from helpers import dense_orbit_norm_estimate, power_iteration_norm
+from helpers import dense_orbit_norm_estimate, power_iteration_norm, ref_periodic_norm_estimate
 from semicrossed import norms
 from semicrossed.norms import (
     _SKIP_BAND_LIMIT,
@@ -110,6 +110,30 @@ def test_orbit_estimate_matches_dense_ladder(sys, el, n_max):
     pts, _ = sc.default_samples(sys)
     new = sc.orbit_norm_estimate(sys, el, pts, n_max)
     ref = dense_orbit_norm_estimate(sys, el, pts, n_max)
+    assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+
+
+def _periodic_identity_cases():
+    doubling, tripling = sc.CircleTimesK(2), sc.CircleTimesK(3)
+    golden = sc.golden_mean_shift()
+    perm = sc.PermutationSystem((1, 2, 0, 4, 3, 5))
+    wide = sc.element(doubling, {k: sc.ext(1, cosine()) for k in range(5)})
+    return [
+        pytest.param(doubling, sc.random_semicrossed_element(doubling, 11, max_power=3), None, id="doubling"),
+        pytest.param(tripling, sc.random_semicrossed_element(tripling, 5, max_power=2), None, id="tripling"),
+        pytest.param(golden, sc.random_semicrossed_element(golden, 3, max_power=3), None, id="golden"),
+        pytest.param(perm, sc.random_semicrossed_element(perm, 2, max_power=2), None, id="permutation"),
+        pytest.param(doubling, _one_minus_e100(doubling), None, id="1-e(100x)"),
+        pytest.param(doubling, wide, [sc.rational(0, 1)], id="band-wider-than-period"),
+    ]
+
+
+@pytest.mark.parametrize("sys,el,periodic", _periodic_identity_cases())
+def test_periodic_estimate_matches_permutation_powers(sys, el, periodic):
+    if periodic is None:
+        _, periodic = sc.default_samples(sys)
+    new = sc.periodic_norm_estimate(sys, el, periodic)
+    ref = ref_periodic_norm_estimate(sys, el, periodic)
     assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import helpers
 import semicrossed as sc
 from helpers import power_iteration_norm
+from semicrossed.reps import _closed_sets_are_tails
 
 
 def cosine():
@@ -195,8 +197,42 @@ def test_invariant_subspaces_collision(doubling):
 
 def test_invariant_subspaces_window(doubling):
     with pytest.raises(ValueError):
-        sc.invariant_subspaces_are_tails(doubling, sc.rational(1, 5), [cosine()], 13)
+        sc.invariant_subspaces_are_tails(doubling, sc.rational(1, 5), [cosine()], 0)
     assert sc.invariant_subspaces_are_tails(doubling, sc.rational(1, 5), [cosine()], 1)
+    # no cap on the window: 1/131 has period 130 under doubling
+    assert sc.invariant_subspaces_are_tails(doubling, sc.rational(1, 131), [cosine()], 64)
+
+
+def _tails(n):
+    return {frozenset()} | {frozenset(range(k, n)) for k in range(n)}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closure_matches_subset_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    mats = [np.diag(np.ones(n - 1), -1)]  # start from the shift, then perturb
+    for _ in range(int(rng.integers(0, 3))):
+        m = np.zeros((n, n), dtype=complex)
+        hits = rng.random((n, n)) < rng.choice([0.05, 0.2, 0.5])
+        m[hits] = rng.choice([1e-13, 1e-12, 2e-12, 1.0], size=int(hits.sum()))
+        mats.append(m)
+    if rng.random() < 0.3:
+        mats[0] = np.zeros((n, n))  # no shift: the tails stop being the only answer
+    brute = helpers.brute_invariant_subsets(mats)
+    assert _closed_sets_are_tails(mats, 1e-12) == (brute == _tails(n))
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (11, 6), (13, 8), (19, 8)])
+def test_invariant_subspaces_match_subset_search(doubling, q, n):
+    x = sc.rational(1, q)
+    orbit = sc.forward_orbit(doubling, x, n)
+    funcs = [sc.separating_function(doubling, orbit, j, n) for j in range(n)]
+    mats = [np.diag(np.ones(n - 1), -1)] + [
+        np.diag([sc.evaluate_base(doubling, f, p) for p in orbit]) for f in funcs
+    ]
+    assert helpers.brute_invariant_subsets(mats) == _tails(n)
+    assert sc.invariant_subspaces_are_tails(doubling, x, funcs, n)
 
 
 def test_spectral_norm_vs_power_iteration(doubling):
@@ -210,3 +246,91 @@ def test_spectral_norm_vs_power_iteration(doubling):
     )
     m = sc.orbit_matrix(doubling, sc.rational(1, 11), el, 12)
     assert sc.spectral_norm(m) == pytest.approx(power_iteration_norm(m), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the chain/cycle placements against the builders they replaced
+
+
+def _element_cases():
+    doubling = sc.doubling_map()
+    golden = sc.golden_mean_shift()
+    perm = sc.PermutationSystem((1, 2, 0, 4, 3))
+    wide = sc.element(doubling, {k: sc.ext(1, cosine()) for k in range(5)})
+    return [
+        (doubling, sc.random_semicrossed_element(doubling, 11, max_power=3)),
+        (doubling, wide),
+        (golden, sc.random_semicrossed_element(golden, 3, max_power=3)),
+        (perm, sc.random_semicrossed_element(perm, 2, max_power=4)),
+    ]
+
+
+def _crossed_cases():
+    doubling = sc.doubling_map()
+    golden = sc.golden_mean_shift()
+    perm = sc.PermutationSystem((1, 2, 0, 4, 3))
+    return [
+        (sys, sc.random_crossed_element(sys, seed, max_power=3, max_depth=3))
+        for seed, sys in enumerate([doubling, doubling, golden, golden, perm])
+    ]
+
+
+def _close(a, b):
+    return a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-14 * max(
+        np.max(np.abs(b), initial=0.0), 1e-300
+    )
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_chain_builders_equal_reference(case):
+    sys, el = _element_cases()[case]
+    for x in sc.default_samples(sys)[0][:12]:
+        for n in (1, 3, 8, 17):
+            assert np.array_equal(sc.orbit_matrix(sys, x, el, n), helpers.ref_orbit_matrix(sys, x, el, n))
+        rf = sc.to_right_form(el)
+        lift = sc.lift_point(sys, x, sc.SeededRandom(3))
+        for n in (1, 2, 6, 11):
+            assert np.array_equal(
+                sc.backward_matrix(sys, lift, rf, n), helpers.ref_backward_matrix(sys, lift, rf, n)
+            )
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_bilateral_equals_reference(case):
+    sys, el = _crossed_cases()[case]
+    band = max(abs(k) for k in el.powers)
+    for y in sc.default_samples(sys)[1][:6]:
+        for xt in (sc.periodic_lift(sys, y), sc.lift_point(sys, y, sc.AlwaysMin())):
+            for m in (band, band + 3):
+                assert np.array_equal(
+                    sc.bilateral_matrix(sys, xt, el, m), helpers.ref_bilateral_matrix(sys, xt, el, m)
+                )
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_periodic_builders_match_reference(case):
+    sys, el = _element_cases()[case]
+    lams = [1.0 + 0j, -1.0 + 0j, 1j, complex(np.exp(2j * np.pi * 0.3137))]
+    for y in sc.default_samples(sys)[1][:10]:
+        for lam in lams:
+            assert _close(
+                sc.periodic_matrix(sys, y, lam, el), helpers.ref_periodic_matrix(sys, y, lam, el)
+            )
+            assert _close(
+                sc.twisted_periodic_matrix(sys, y, lam, el),
+                helpers.ref_twisted_periodic_matrix(sys, y, lam, el),
+            )
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_periodic_ext_matches_reference(case):
+    sys, el = _crossed_cases()[case]
+    # negative powers take lambda^k where the reference inverted the shift
+    assert any(min(e.powers) < 0 for _, e in _crossed_cases())
+    for y in sc.default_samples(sys)[1][:6]:
+        lift = sc.periodic_lift(sys, y)
+        for lam in (1.0 + 0j, complex(np.exp(2j * np.pi / 3)), complex(np.exp(2j * np.pi * 0.71))):
+            assert _close(
+                sc.periodic_ext_matrix(sys, lift, lam, el),
+                helpers.ref_periodic_ext_matrix(sys, lift, lam, el),
+            )
