@@ -11,6 +11,8 @@ space that reads coordinate m of an extended point and applies g; these
 realize the union of the pulled-back copies of C(X) inside C(X~).  The
 endomorphism g -> g∘phi is ``compose_map``; the extension automorphism
 f -> f∘phi~ is ``compose_shift`` with inverse ``compose_shift_inverse``.
+``evaluate_base`` is the scalar reference; orbit and periodic builders read
+whole orbits through ``_orbit_values``, which validates once per orbit.
 
 Sup norms are certified brackets, exact for cylinder/tabular functions and
 grid-plus-derivative-bound brackets (capped by the coefficient l1 sum) for
@@ -31,9 +33,11 @@ from .systems import (
     CircleTimesK,
     PermutationSystem,
     Point,
+    RationalPoint,
     ShiftOfFiniteType,
     StatePoint,
     System,
+    WordPoint,
     admissible_words,
     check_point,
 )
@@ -177,6 +181,42 @@ def evaluate_base(sys: System, g: BaseFunction, x: Point) -> complex:
         return g.value_at(w)
     assert isinstance(x, StatePoint)
     return g.values[x.state]
+
+
+def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
+    """(len(bases), n) values of each base at x, phi(x), ..., phi^(n-1)(x):
+    ``evaluate_base``'s values bit for bit, validating x and each base once."""
+    check_point(sys, x)
+    for g in bases:
+        validate_base(sys, g)
+    out = np.zeros((len(bases), n), dtype=complex)
+    if isinstance(x, RationalPoint):  # integer residues p k^i mod q
+        q = x.value.denominator
+        res = [x.value.numerator * pow(sys.k, i, q) % q for i in range(n)]
+        terms = [(b, m, c) for b, g in enumerate(bases) for m, c in g.coeffs]
+        ms = [m for _, m, _ in terms]
+        # division rounds correctly, so unreduced residues give eval_fraction's doubles
+        exact = (max(map(abs, ms), default=0) + 1) * q < 2**53  # m r and q exact in int64, float64
+        t = np.outer(ms, res) % q / q if exact else np.array([[m * r % q / q for r in res] for m in ms])
+        c = np.array([c for *_, c in terms])[:, None]
+        with np.errstate(all="ignore"):  # overflow gives inf, as in evaluate_base
+            e = np.exp(2j * np.pi * t)
+            # Python's complex product, summed from 0 in coefficient order
+            re, im = c.real * e.real - c.imag * e.imag, c.real * e.imag + c.imag * e.real
+            for (b, _, _), r, i in zip(terms, re, im):
+                out[b].real += r
+                out[b].imag += i
+    elif isinstance(x, WordPoint):  # a window sliding along the word
+        seq = [x.symbol(i) for i in range(n + max((g.depth for g in bases), default=1) - 1)]
+        for row, g in zip(out, bases):
+            table = g.as_dict()
+            row[:] = [table[tuple(seq[i : i + g.depth])] for i in range(n)]
+    else:
+        states = [x.state]
+        for _ in range(n - 1):
+            states.append(sys.images[states[-1]])
+        out = np.array([[g.values[s] for s in states] for g in bases], dtype=complex)
+    return out.reshape(len(bases), n)
 
 
 def refine_cylinder(sys: ShiftOfFiniteType, g: CylinderFunction, depth: int) -> CylinderFunction:

@@ -21,18 +21,19 @@ import numpy as np
 from .elements import Element, l1_upper_bound, require_semicrossed
 from .errors import NonFinite, NotPeriodic, WindowTooSmall
 from .extension import ExtPoint, shift_power
-from .functions import NormBracket, evaluate_base, ext_sup_norm
+from .functions import NormBracket, ext_sup_norm
 from .reps import (
     _check_lambda,
+    _coeff_orbits,
     _cycle,
     _lambda_sum,
-    _periodic_orbit,
+    _period,
     _scatter_bands,
     bilateral_matrix,
     orbit_bands,
     orbit_matrix,
 )
-from .systems import Point, System, classify, forward_orbit, point_key
+from .systems import Point, System, classify, point_key
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -308,10 +309,10 @@ def periodic_norm_estimate(
         cls = classify(sys, y)
         if not cls.is_periodic:
             raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
-        orbit = forward_orbit(sys, y, cls.period)
+        if not el.coeffs:  # the zero element: every matrix is 0
+            continue
         # stack sum_k lam^k * C^k D_k over the lambda grid in one shot
-        values = {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs}
-        bands = _cycle(values, cls.period)
+        bands = _cycle(_coeff_orbits(sys, el.coeffs, y, cls.period), cls.period)
         powers = np.stack([lams ** k for k in bands], axis=1)  # (L, nbands)
         mats = np.einsum("lk,kij->lij", powers, np.stack(list(bands.values())))
         svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
@@ -398,10 +399,8 @@ def twisted_periodic_matrix(sys: System, y: Point, lam: complex, el: Element) ->
     """
     require_semicrossed(el)
     lam = _check_lambda(lam)
-    orbit = _periodic_orbit(sys, y)
-    p = len(orbit)
-    values = {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs}
-    return _lambda_sum(_cycle(values, p, wraps=True), lam, p)
+    p = _period(sys, y)
+    return _lambda_sum(_cycle(_coeff_orbits(sys, el.coeffs, y, p), p, wraps=True), lam, p)
 
 
 def periodic_vector_check(

@@ -14,7 +14,8 @@ orbit, M[i+k, i] = f_k(x_i); ``orbit_bands`` returns just those bands),
 ``periodic_matrix`` (cycle over a period-p point), ``bilateral_matrix``
 (chain over the two-sided orbit of an extended point, coordinates -M..M)
 and ``backward_matrix`` (chain for right-form elements along a backward
-orbit, band entries read at the row's coordinate).
+orbit, band entries read at the row's coordinate).  The forward-orbit
+layouts read ``functions._orbit_values`` in one batch, the rest per entry.
 
 ``covariance_defect`` measures the defining relation on any of these and
 ``invariant_subspaces_are_tails`` decides which coordinate subspaces are
@@ -37,7 +38,7 @@ from .errors import (
     WrongForm,
 )
 from .extension import ExtPoint, PeriodicLift, project, shift_power
-from .functions import BaseFunction, compose_map, evaluate, evaluate_base
+from .functions import BaseFunction, _orbit_values, compose_map, evaluate, evaluate_base
 from .systems import Point, System, classify, forward_orbit, point_key
 
 # ---------------------------------------------------------------------------
@@ -78,12 +79,17 @@ def _check_lambda(lam: complex) -> complex:
     return lam
 
 
-def _periodic_orbit(sys: System, y: Point) -> list[Point]:
-    """The p points of y's cycle; raises NotPeriodic otherwise."""
+def _period(sys: System, y: Point) -> int:
+    """The period of y; raises NotPeriodic when y is not periodic."""
     cls = classify(sys, y)
     if not cls.is_periodic:
         raise NotPeriodic(f"point is {cls.kind}")
-    return forward_orbit(sys, y, cls.period)
+    return cls.period
+
+
+def _coeff_orbits(sys: System, coeffs, x: Point, n: int) -> dict[int, np.ndarray]:
+    """{k: f_k at x, phi(x), ..., phi^(n-1)(x)} for the (k, f_k) pairs in coeffs."""
+    return dict(zip([k for k, _ in coeffs], _orbit_values(sys, [f.base for _, f in coeffs], x, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +142,9 @@ def orbit_bands(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
     require_semicrossed(el)
     if n < 1:
         raise ValueError("size must be >= 1")
-    orbit = forward_orbit(sys, x, n)
     out = np.zeros((el.max_power + 1, n), dtype=complex)
-    for k, f in el.coeffs:
-        if k >= n:
-            continue
-        out[k, : n - k] = [evaluate_base(sys, f.base, orbit[i]) for i in range(n - k)]
+    for k, vals in _coeff_orbits(sys, [(k, f) for k, f in el.coeffs if k < n], x, n).items():
+        out[k, : n - k] = vals[: n - k]
     return out
 
 
@@ -163,10 +166,8 @@ def periodic_matrix(sys: System, y: Point, lam: complex, el: Element) -> np.ndar
     """p x p periodic-orbit representation with the shift scaled by lambda."""
     require_semicrossed(el)
     lam = _check_lambda(lam)
-    orbit = _periodic_orbit(sys, y)
-    p = len(orbit)
-    values = {k: [evaluate_base(sys, f.base, pt) for pt in orbit] for k, f in el.coeffs}
-    return _lambda_sum(_cycle(values, p), lam, p)
+    p = _period(sys, y)
+    return _lambda_sum(_cycle(_coeff_orbits(sys, el.coeffs, y, p), p), lam, p)
 
 
 def periodic_ext_matrix(sys: System, lift: PeriodicLift, lam: complex, el: Element) -> np.ndarray:
@@ -277,7 +278,7 @@ def _relation_pieces(sys: System, spec: RepSpec, f: BaseFunction):
         pts = forward_orbit(sys, spec.point, spec.size)
     elif isinstance(spec, PeriodicOrbitRep):
         lam = _check_lambda(spec.lam)
-        pts = _periodic_orbit(sys, spec.point)
+        pts = forward_orbit(sys, spec.point, _period(sys, spec.point))
     elif isinstance(spec, BilateralWindowRep):
         m = spec.half_width
         pts = [project(shift_power(sys, spec.point, j - m)) for j in range(2 * m + 1)]
@@ -322,7 +323,7 @@ def invariant_subspaces_are_tails(
     if len({point_key(p) for p in orbit}) != n:
         raise OrbitCollision("forward orbit repeats inside the window")
     mats = [_chain({1: np.ones(n - 1)}, n)]
-    mats += [_chain({0: [evaluate_base(sys, f, p) for p in orbit]}, n) for f in funcs]
+    mats += [_chain({0: vals}, n) for vals in _orbit_values(sys, list(funcs), x, n)]
     return _closed_sets_are_tails(mats, tol)
 
 

@@ -139,6 +139,24 @@ def nonzero_transitions(size: int):
         yield mat
 
 
+def random_cylinder(transition, depth: int, seed: int):
+    """Depth-d cylinder function with seeded complex values on every
+    admissible word (words found by brute force, not by the package)."""
+    from semicrossed import CylinderFunction
+
+    rng = np.random.default_rng(seed)
+    words = brute_admissible_words(transition, depth)
+    vals = rng.uniform(-1, 1, size=(len(words), 2))
+    return CylinderFunction.from_values(depth, {w: complex(a, b) for w, (a, b) in zip(words, vals)})
+
+
+def cylinder_element(sys, depth: int, seed: int):
+    """Powers 0 and 1 with depth-d cylinder coefficients, as the SFT benchmark builds them."""
+    from semicrossed import element, ext
+
+    return element(sys, {k: ext(1, random_cylinder(sys.transition, depth, seed + k)) for k in (0, 1)})
+
+
 def doubling_orbit_fraction(x: Fraction, steps: int) -> list[Fraction]:
     out = [x % 1]
     for _ in range(steps - 1):
@@ -157,7 +175,6 @@ def dense_orbit_norm_estimate(sys, el, points, n_max: int = 256):
     from semicrossed.errors import WindowTooSmall
     from semicrossed.functions import NormBracket
     from semicrossed.norms import NormEstimate, _ladder, _point_label, spectral_norm
-    from semicrossed.reps import orbit_matrix
 
     require_semicrossed(el)
     if not points:
@@ -170,7 +187,7 @@ def dense_orbit_norm_estimate(sys, el, points, n_max: int = 256):
     witness = ""
     by_size = {n: 0.0 for n in sizes}
     for x in points:
-        full = orbit_matrix(sys, x, el, n_max)
+        full = ref_orbit_matrix(sys, x, el, n_max)
         for n in sizes:
             val = spectral_norm(full[:n, :n])
             if val > by_size[n]:
@@ -221,10 +238,27 @@ def _ref_scatter_bands(bands: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def ref_orbit_matrix(sys, x, el, n: int) -> np.ndarray:
-    from semicrossed.reps import orbit_bands
+def ref_orbit_bands(sys, x, el, n: int) -> np.ndarray:
+    """``reps.orbit_bands`` as it stood before the batched orbit evaluator:
+    a ``forward_orbit`` of points and one ``evaluate_base`` per cell."""
+    from semicrossed.elements import require_semicrossed
+    from semicrossed.functions import evaluate_base
+    from semicrossed.systems import forward_orbit
 
-    return _ref_scatter_bands(orbit_bands(sys, x, el, n), n)
+    require_semicrossed(el)
+    if n < 1:
+        raise ValueError("size must be >= 1")
+    orbit = forward_orbit(sys, x, n)
+    out = np.zeros((el.max_power + 1, n), dtype=complex)
+    for k, f in el.coeffs:
+        if k >= n:
+            continue
+        out[k, : n - k] = [evaluate_base(sys, f.base, orbit[i]) for i in range(n - k)]
+    return out
+
+
+def ref_orbit_matrix(sys, x, el, n: int) -> np.ndarray:
+    return _ref_scatter_bands(ref_orbit_bands(sys, x, el, n), n)
 
 
 def _ref_assemble_periodic(shift_mat: np.ndarray, diag_values, p: int) -> np.ndarray:

@@ -63,6 +63,24 @@ def test_readme_demo_norm_golden(capsys):
 
 
 @pytest.mark.parametrize(
+    "system",
+    ["kind circle\n  k 2", "kind sft\n  row 1 1\n  row 1 0", "kind permutation\n  images 1 2 0"],
+    ids=["circle", "sft", "permutation"],
+)
+def test_norm_zero_element(tmp_path, capsys, system):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        f"system {{\n  {system}\n}}\nbudgets {{\n  nmax 16\n  grid 16\n  window 8\n  seed 7\n}}\n"
+        "element Z {\n  term 0 const 0\n}\n"
+    )
+    code, out = run_cli(capsys, "--config", str(cfg), "norm", "Z")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    summary = {row[1]: row[2] for row in rows if row[0] == "summary"}
+    assert float(summary["lower"]) == float(summary["upper"]) == 0.0
+
+
+@pytest.mark.parametrize(
     "spec",
     ["orbit:1/7:6", "periodic:1/7:angle:1/3", "bilateral:1/5:min:3", "backward:1/3:min:5"],
 )

@@ -1,8 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import semicrossed as sc
-from helpers import dense_trig_sup
+from helpers import dense_trig_sup, random_cylinder
+from semicrossed.functions import _orbit_values
+
+# the three shifts of the SFT benchmark
+SFTS = {
+    "goldenmean": ((1, 1), (1, 0)),
+    "full2": ((1, 1), (1, 1)),
+    "sft3": ((1, 1, 0), (1, 0, 1), (1, 0, 0)),
+}
 
 
 def cosine():
@@ -139,3 +149,102 @@ def test_ext_sup_norm_matches_base():
 def test_nonfinite_rejected():
     with pytest.raises((sc.NonFinite, ValueError)):
         sc.TrigPoly.from_coeffs({1: complex(np.inf, 0.0)})
+
+
+# ---------------------------------------------------------------------------
+# the batched orbit evaluator against the scalar evaluate_base
+
+
+def assert_orbit_values_match(sys, bases, x, n):
+    got = _orbit_values(sys, bases, x, n)
+    orbit = sc.forward_orbit(sys, x, n)
+    want = np.array([[sc.evaluate_base(sys, g, pt) for pt in orbit] for g in bases], dtype=complex)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero included
+    return got
+
+
+def _trig(seed, freqs):
+    rng = np.random.default_rng(seed)
+    return sc.TrigPoly.from_coeffs({k: complex(*rng.normal(size=2)) for k in freqs})
+
+
+TRIG_BASES = [cosine(), _trig(1, [-3, 0, 2]), _trig(2, [-300, -17, 0, 299, 300])]
+
+
+@pytest.mark.parametrize(
+    "k,x",
+    [
+        (2, Fraction(1, 7)),
+        (2, Fraction(3, 28)),  # preperiodic
+        (2, Fraction(5, 96)),
+        (2, Fraction(0)),
+        (3, Fraction(1, 13)),
+        (3, Fraction(7, 45)),
+        (3, Fraction(2, 81)),  # reaches the fixed point 0
+        (2, Fraction(1, 2**61 - 1)),  # denominators above 2^53
+        (3, Fraction(5, 3**40)),
+        (2, Fraction(12345, 2**45 + 1)),  # int64-exact for |m| = 1, not for 300
+    ],
+)
+def test_orbit_values_circle(k, x):
+    sys = sc.CircleTimesK(k)
+    assert_orbit_values_match(sys, TRIG_BASES, sc.RationalPoint(x), 70)
+    assert_orbit_values_match(sys, TRIG_BASES[:2], sc.RationalPoint(x), 70)
+
+
+def test_orbit_values_overflow_matches_scalar(doubling):
+    huge = sc.TrigPoly.from_coeffs({-2: 1e308j, 0: 1e308, 1: 1e308})
+    got = assert_orbit_values_match(doubling, [huge, cosine()], sc.rational(1, 7), 30)
+    assert np.isinf(got.real).any() and not np.isnan(got.view(float)).any()
+
+
+@pytest.mark.parametrize("name", sorted(SFTS))
+@pytest.mark.parametrize("depth", [1, 2, 10])
+def test_orbit_values_sft(name, depth):
+    sys = sc.ShiftOfFiniteType(SFTS[name])
+    bases = [random_cylinder(SFTS[name], depth, 1), random_cylinder(SFTS[name], 1, 2)]
+    assert_orbit_values_match(sys, bases, sc.periodic_points(sys, 3)[-1], 25)
+    x = sc.WordPoint((), (0,))
+    for steps in range(1, 13):  # preperiodic words, preperiods 1 to 12
+        x = next(p for p in sc.preimages(sys, x) if p.preperiod)
+        assert len(x.preperiod) == steps
+        if steps in (1, 2, 12):
+            assert_orbit_values_match(sys, bases, x, 25)
+
+
+def test_orbit_values_permutation():
+    sys = sc.PermutationSystem((1, 2, 0, 4, 3, 5))
+    bases = [sc.TabularFunction(tuple(complex(s, -s) for s in range(6))), sc.TabularFunction((2.5,) * 6)]
+    for s in range(6):
+        assert_orbit_values_match(sys, bases, sc.StatePoint(s), 13)
+    assert _orbit_values(sys, [], sc.StatePoint(0), 5).shape == (0, 5)
+
+
+@pytest.mark.parametrize(
+    "sys,g,x",
+    [
+        (sc.CircleTimesK(2), cosine(), sc.StatePoint(0)),
+        (sc.CircleTimesK(2), sc.TabularFunction((1.0,)), sc.rational(1, 3)),
+        (sc.golden_mean_shift(), cosine(), sc.WordPoint((), (0, 1))),
+        (
+            sc.golden_mean_shift(),
+            sc.CylinderFunction.from_values(1, {(0,): 1.0}),
+            sc.WordPoint((), (0, 1)),
+        ),
+        (
+            sc.golden_mean_shift(),
+            sc.CylinderFunction.from_values(1, {(0,): 1.0, (1,): 2.0}),
+            sc.WordPoint((), (1,)),  # 11 is forbidden
+        ),
+        (sc.PermutationSystem((1, 0)), sc.TabularFunction((1.0,)), sc.StatePoint(0)),
+        (sc.PermutationSystem((1, 0)), sc.TabularFunction((1.0, 2.0)), sc.StatePoint(2)),
+    ],
+    ids=["circle-point", "circle-base", "sft-base", "sft-cover", "sft-word", "perm-base", "perm-state"],
+)
+def test_orbit_values_kind_mismatch_texts(sys, g, x):
+    with pytest.raises(sc.KindMismatch) as scalar:
+        sc.evaluate_base(sys, g, x)
+    with pytest.raises(sc.KindMismatch) as batched:
+        _orbit_values(sys, [g], x, 4)
+    assert str(batched.value) == str(scalar.value)

@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicrossed as sc
-from helpers import dense_orbit_norm_estimate, power_iteration_norm, ref_periodic_norm_estimate
-from semicrossed import norms
+from helpers import (
+    cylinder_element,
+    dense_orbit_norm_estimate,
+    power_iteration_norm,
+    ref_periodic_norm_estimate,
+)
+from semicrossed import functions, norms
 from semicrossed.norms import (
     _SKIP_BAND_LIMIT,
     _SKIP_SLACK,
@@ -87,6 +92,10 @@ def _one_minus_e100(sys):
     return sc.from_base(sys, sc.TrigPoly.from_coeffs({0: 1, 100: -1}))
 
 
+SFT3 = sc.ShiftOfFiniteType(((1, 1, 0), (1, 0, 1), (1, 0, 0)))  # 653 words of length 10
+PERM7 = sc.PermutationSystem((1, 2, 3, 4, 5, 6, 0, 7))  # a 7-cycle and a fixed point
+
+
 def _bit_identity_cases():
     doubling, tripling = sc.CircleTimesK(2), sc.CircleTimesK(3)
     golden = sc.golden_mean_shift()
@@ -102,6 +111,9 @@ def _bit_identity_cases():
         pytest.param(golden, sc.random_semicrossed_element(golden, 3, max_power=3), 256, id="golden"),
         pytest.param(golden, sc.random_semicrossed_element(golden, 4, max_power=0), 100, id="golden-power0"),
         pytest.param(perm, sc.random_semicrossed_element(perm, 2, max_power=2), 100, id="permutation"),
+        pytest.param(golden, cylinder_element(golden, 10, 5), 256, id="golden-depth10"),
+        pytest.param(SFT3, cylinder_element(SFT3, 10, 6), 64, id="sft3-depth10"),
+        pytest.param(PERM7, sc.random_semicrossed_element(PERM7, 3, max_power=3), 64, id="permutation7"),
     ]
 
 
@@ -125,6 +137,9 @@ def _periodic_identity_cases():
         pytest.param(perm, sc.random_semicrossed_element(perm, 2, max_power=2), None, id="permutation"),
         pytest.param(doubling, _one_minus_e100(doubling), None, id="1-e(100x)"),
         pytest.param(doubling, wide, [sc.rational(0, 1)], id="band-wider-than-period"),
+        pytest.param(golden, cylinder_element(golden, 10, 5), None, id="golden-depth10"),
+        pytest.param(SFT3, cylinder_element(SFT3, 10, 6), None, id="sft3-depth10"),
+        pytest.param(PERM7, sc.random_semicrossed_element(PERM7, 3, max_power=3), None, id="permutation7"),
     ]
 
 
@@ -135,6 +150,39 @@ def test_periodic_estimate_matches_permutation_powers(sys, el, periodic):
     new = sc.periodic_norm_estimate(sys, el, periodic)
     ref = ref_periodic_norm_estimate(sys, el, periodic)
     assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+
+
+def test_estimates_validate_each_coefficient_once_per_point(golden_mean, monkeypatch):
+    # per-cell validation regenerated the admissible words n times per point
+    el = cylinder_element(golden_mean, 10, 5)
+    pts, per = sc.default_samples(golden_mean)
+    calls = []
+    words = functions.admissible_words
+    monkeypatch.setattr(functions, "admissible_words", lambda *a: calls.append(a) or words(*a))
+    sc.orbit_norm_estimate(golden_mean, el, pts, 256)
+    assert 0 < len(calls) <= len(pts) * len(el.coeffs)
+    calls.clear()
+    sc.periodic_norm_estimate(golden_mean, el, per, 16)
+    assert 0 < len(calls) <= len(per) * len(el.coeffs)
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [sc.CircleTimesK(2), sc.golden_mean_shift(), sc.PermutationSystem((1, 2, 0))],
+    ids=["circle", "sft", "permutation"],
+)
+def test_zero_element_bracket(sys):
+    zero = sc.constant_element(sys, 0.0)
+    assert zero.coeffs == ()
+    pts, per = sc.default_samples(sys)
+    est = sc.semicrossed_norm(sys, zero, pts, per, 16, 16)
+    assert (est.bracket.lower, est.bracket.upper) == (0.0, 0.0)
+    periodic = sc.periodic_norm_estimate(sys, zero, per, 16)
+    assert (periodic.bracket.lower, periodic.bracket.upper, periodic.witness) == (0.0, 0.0, "")
+    assert all(v == 0.0 for _, v in periodic.traces)
+    if isinstance(sys, sc.CircleTimesK):
+        with pytest.raises(sc.NotPeriodic):  # samples are still classified
+            sc.periodic_norm_estimate(sys, zero, [sc.rational(1, 2)], 16)
 
 
 def test_orbit_estimate_wide_band_takes_dense_ladder(doubling, monkeypatch):

@@ -37,6 +37,12 @@ def test_orbit_matrix_truncates_wide_bands(doubling):
     el = sc.shift_element(doubling, 3)
     m = sc.orbit_matrix(doubling, sc.rational(1, 5), el, 3)
     assert np.array_equal(m, np.zeros((3, 3)))
+    # a power the window never reaches is never read, so never validated
+    odd = sc.element(doubling, {0: sc.ext(1, cosine()), 3: sc.ext(1, sc.TabularFunction((1.0,)))})
+    x = sc.rational(1, 5)
+    assert np.array_equal(sc.orbit_matrix(doubling, x, odd, 3), helpers.ref_orbit_matrix(doubling, x, odd, 3))
+    with pytest.raises(sc.KindMismatch, match="circle systems use TrigPoly"):
+        sc.orbit_matrix(doubling, x, odd, 4)
 
 
 def test_bilateral_window_too_small(doubling):
