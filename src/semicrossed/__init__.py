@@ -152,134 +152,12 @@ from .systems import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_CHECKS",
-    "AlwaysMin",
-    "BackwardOrbitRep",
-    "BadLambda",
-    "BilateralWindowRep",
-    "Budgets",
-    "CheckReport",
-    "CheckRow",
-    "CircleTimesK",
-    "Classification",
-    "ConfigError",
-    "CylinderFunction",
-    "DepthTooLarge",
-    "Element",
-    "ExplicitTail",
-    "ExtFunction",
-    "InvalidMatrix",
-    "KindMismatch",
-    "LazyLift",
-    "NonFinite",
-    "NormBracket",
-    "NormEstimate",
-    "NotPeriodic",
-    "NotSemicrossed",
-    "OrbitCollision",
-    "OrbitTruncation",
-    "PeriodicLift",
-    "PeriodicOrbitRep",
-    "PermutationSystem",
-    "RationalPoint",
-    "RightFormElement",
-    "SeededRandom",
-    "SemicrossedError",
-    "SeparationImpossible",
-    "ShiftOfFiniteType",
-    "StatePoint",
-    "System",
-    "TabularFunction",
-    "TrigPoly",
-    "WindowTooSmall",
-    "WordPoint",
-    "WrongForm",
-    "add",
-    "adjoint",
-    "admissible_words",
-    "apply_map",
-    "backward_matrix",
-    "base_add",
-    "base_conj",
-    "base_mul",
-    "base_scale",
-    "bilateral_matrix",
-    "bilateral_orbit_check",
-    "canonical_ext_samples",
-    "classify",
-    "classify_lift",
-    "compose_map",
-    "compose_shift",
-    "compose_shift_element",
-    "compose_shift_inverse",
-    "compose_shift_power",
-    "constant_base",
-    "constant_element",
-    "constant_ext",
-    "cosine_element",
-    "covariance_defect",
-    "default_samples",
-    "doubling_map",
-    "element",
-    "embed_periodic_vector",
-    "embedding_check",
-    "evaluate",
-    "evaluate_base",
-    "ext",
-    "ext_add",
-    "ext_conj",
-    "ext_equal",
-    "ext_mul",
-    "ext_points_equal",
-    "ext_scale",
-    "ext_sup_norm",
-    "forward_orbit",
-    "from_base",
-    "from_right_form",
-    "golden_mean_shift",
-    "invariant_subspaces_are_tails",
-    "is_semicrossed",
-    "l1_upper_bound",
-    "lift_point",
-    "lift_to_depth",
-    "multiply",
-    "orbit_matrix",
-    "orbit_norm_estimate",
-    "orbit_representatives",
-    "periodic_ext_matrix",
-    "periodic_lift",
-    "periodic_matrix",
-    "periodic_norm_estimate",
-    "periodic_points",
-    "periodic_rationals",
-    "periodic_vector_check",
-    "point_key",
-    "preimages",
-    "project",
-    "random_crossed_element",
-    "random_semicrossed_element",
-    "rational",
-    "rep_matrix",
-    "require_semicrossed",
-    "run_checks",
-    "scale",
-    "seeded_aperiodic_rationals",
-    "seeded_lifts",
-    "semicrossed_norm",
-    "separating_function",
-    "sft_properties",
-    "shift",
-    "shift_element",
-    "shift_inverse",
-    "shift_power",
-    "spectral_norm",
-    "sup_norm",
-    "times_shift_power",
-    "to_right_form",
-    "twisted_periodic_matrix",
-    "two_sided_sft_properties",
-    "validate_base",
-    "validate_transition",
-    "verify_transfer",
-]
+# every public name bound above, submodules excepted
+import types as _types
+
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)
+del _types

@@ -11,8 +11,8 @@ space that reads coordinate m of an extended point and applies g; these
 realize the union of the pulled-back copies of C(X) inside C(X~).  The
 endomorphism g -> g∘phi is ``compose_map``; the extension automorphism
 f -> f∘phi~ is ``compose_shift`` with inverse ``compose_shift_inverse``.
-``evaluate_base`` is the scalar reference; orbit and periodic builders read
-whole orbits through ``_orbit_values``, which validates once per orbit.
+``evaluate_base`` is the scalar reference; every matrix builder reads whole
+forward orbits through ``_orbit_values``, which validates once per orbit.
 
 Sup norms are certified brackets, exact for cylinder/tabular functions and
 grid-plus-derivative-bound brackets (capped by the coefficient l1 sum) for

@@ -20,7 +20,7 @@ import numpy as np
 
 from .elements import Element, l1_upper_bound, require_semicrossed
 from .errors import NonFinite, NotPeriodic, WindowTooSmall
-from .extension import ExtPoint, shift_power
+from .extension import ExtPoint
 from .functions import NormBracket, ext_sup_norm
 from .reps import (
     _check_lambda,
@@ -453,7 +453,7 @@ def bilateral_orbit_check(
     seen = set()
     orbit_sup = 0.0
     for k in range(2 * half_width + 1):
-        y = shift_power(sys, xt, -k).coordinate(1)
+        y = xt.coordinate(k + 1)
         key = point_key(y)
         if key in seen:
             continue

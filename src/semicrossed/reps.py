@@ -14,8 +14,9 @@ orbit, M[i+k, i] = f_k(x_i); ``orbit_bands`` returns just those bands),
 ``periodic_matrix`` (cycle over a period-p point), ``bilateral_matrix``
 (chain over the two-sided orbit of an extended point, coordinates -M..M)
 and ``backward_matrix`` (chain for right-form elements along a backward
-orbit, band entries read at the row's coordinate).  The forward-orbit
-layouts read ``functions._orbit_values`` in one batch, the rest per entry.
+orbit, band entries read at the row's coordinate).  All of them read
+``functions._orbit_values`` once per forward orbit: on an extended point,
+coordinate j-1 is phi(coordinate j).
 
 ``covariance_defect`` measures the defining relation on any of these and
 ``invariant_subspaces_are_tails`` decides which coordinate subspaces are
@@ -29,16 +30,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .elements import Element, RightFormElement, require_semicrossed
-from .errors import (
-    BadLambda,
-    NotPeriodic,
-    OrbitCollision,
-    WindowTooSmall,
-    WrongForm,
-)
-from .extension import ExtPoint, PeriodicLift, project, shift_power
-from .functions import BaseFunction, _orbit_values, compose_map, evaluate, evaluate_base
+from .elements import Element, RightFormElement, from_base, require_semicrossed, to_right_form
+from .errors import BadLambda, NotPeriodic, OrbitCollision, WindowTooSmall, WrongForm
+from .extension import ExtPoint, PeriodicLift
+from .functions import BaseFunction, _orbit_values, compose_map
 from .systems import Point, System, classify, forward_orbit, point_key
 
 # ---------------------------------------------------------------------------
@@ -90,6 +85,17 @@ def _period(sys: System, y: Point) -> int:
 def _coeff_orbits(sys: System, coeffs, x: Point, n: int) -> dict[int, np.ndarray]:
     """{k: f_k at x, phi(x), ..., phi^(n-1)(x)} for the (k, f_k) pairs in coeffs."""
     return dict(zip([k for k, _ in coeffs], _orbit_values(sys, [f.base for _, f in coeffs], x, n)))
+
+
+def _lift_orbits(sys: System, coeffs, xt: ExtPoint, offset: int, n: int) -> dict[int, np.ndarray]:
+    """{k: f_k along the n-point forward orbit of xt.coordinate(offset + f_k.depth)},
+    one ``_orbit_values`` batch per depth, in coefficient order (the order
+    ``_lambda_sum`` adds entries that share a position in)."""
+    rows: dict[int, np.ndarray] = {}
+    for d in {f.depth: None for _, f in coeffs}:
+        group = [(k, f) for k, f in coeffs if f.depth == d]
+        rows |= _coeff_orbits(sys, group, xt.coordinate(offset + d), n)
+    return {k: rows[k] for k, _ in coeffs}
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +184,7 @@ def periodic_ext_matrix(sys: System, lift: PeriodicLift, lam: complex, el: Eleme
     """
     lam = _check_lambda(lam)
     p = lift.period
-    pts = [shift_power(sys, lift, j) for j in range(p)]
-    values = {k: [evaluate(sys, f, pt) for pt in pts] for k, f in el.coeffs}
-    return _lambda_sum(_cycle(values, p), lam, p)
+    return _lambda_sum(_cycle(_lift_orbits(sys, el.coeffs, lift, 0, p), p), lam, p)
 
 
 def bilateral_matrix(sys: System, xt: ExtPoint, el: Element, half_width: int) -> np.ndarray:
@@ -195,12 +199,8 @@ def bilateral_matrix(sys: System, xt: ExtPoint, el: Element, half_width: int) ->
     if m < band:
         raise WindowTooSmall(f"half width {m} < band {band}")
     size = 2 * m + 1
-    pts = [shift_power(sys, xt, j - m) for j in range(size)]
-    values = {
-        k: [evaluate(sys, f, pts[c]) for c in range(max(0, -k), size - max(0, k))]
-        for k, f in el.coeffs
-    }
-    return _chain(values, size)
+    rows = _lift_orbits(sys, el.coeffs, xt, m, size)
+    return _chain({k: vals[max(0, -k) : size - max(0, k)] for k, vals in rows.items()}, size)
 
 
 def backward_matrix(sys: System, orbit_pt: ExtPoint, g: RightFormElement, n: int) -> np.ndarray:
@@ -215,14 +215,9 @@ def backward_matrix(sys: System, orbit_pt: ExtPoint, g: RightFormElement, n: int
         raise WrongForm("right-form element must have nonnegative powers and depth-1 coefficients")
     if n < 1:
         raise ValueError("size must be >= 1")
-    coords = [orbit_pt.coordinate(j) for j in range(1, n + 1)]
-    # column c of band k reads the coordinate of its row c+k
-    values = {
-        k: [evaluate_base(sys, f.base, coords[c + k]) for c in range(n - k)]
-        for k, f in g.coeffs
-        if k < n
-    }
-    return _chain(values, n)
+    # coordinates 1..n are the orbit of coordinate n reversed; column c of band k reads row c+k
+    rows = _lift_orbits(sys, [(k, f) for k, f in g.coeffs if k < n], orbit_pt, n - 1, n)
+    return _chain({k: vals[::-1][k:] for k, vals in rows.items()}, n)
 
 
 def rep_matrix(sys: System, spec: RepSpec, el) -> np.ndarray:
@@ -255,11 +250,20 @@ def covariance_defect(
     (relation 2 for backward orbits, relation 1 otherwise); passing the
     other relation demonstrates the mismatch.
     """
+    backward = isinstance(spec, BackwardOrbitRep)
     if relation is None:
-        relation = 2 if isinstance(spec, BackwardOrbitRep) else 1
+        relation = 2 if backward else 1
     if relation not in (1, 2):
         raise ValueError("relation must be 1 or 2")
-    rho_u, df, dphi = _relation_pieces(sys, spec, f)
+    form = to_right_form if backward else (lambda el: el)
+    els = [form(from_base(sys, g)) for g in (f, compose_map(sys, f))]
+    df, dphi = (np.diag(rep_matrix(sys, spec, el)) for el in els)
+    n = len(df)
+    # rho(U) is placed directly: the bilateral layout of U needs half width >= 1
+    if isinstance(spec, PeriodicOrbitRep):
+        rho_u = _lambda_sum(_cycle({1: np.ones(n)}, n), _check_lambda(spec.lam), n)
+    else:
+        rho_u = _chain({1: np.ones(n - 1)}, n)
     # rho(f) is diagonal in every layout, so the commutator entry factors as
     # (value difference) * u[i, j]; the factored form keeps exact symbolic
     # evaluations exactly covariant where matmul rounding would not.
@@ -268,32 +272,6 @@ def covariance_defect(
     else:
         defect = (df[None, :] - dphi[:, None]) * rho_u
     return float(np.linalg.norm(defect, 2))
-
-
-def _relation_pieces(sys: System, spec: RepSpec, f: BaseFunction):
-    """rho(U) and the diagonals of rho(f) and rho(f∘phi) in one layout."""
-    fphi = compose_map(sys, f)
-    lam = None
-    if isinstance(spec, OrbitTruncation):
-        pts = forward_orbit(sys, spec.point, spec.size)
-    elif isinstance(spec, PeriodicOrbitRep):
-        lam = _check_lambda(spec.lam)
-        pts = forward_orbit(sys, spec.point, _period(sys, spec.point))
-    elif isinstance(spec, BilateralWindowRep):
-        m = spec.half_width
-        pts = [project(shift_power(sys, spec.point, j - m)) for j in range(2 * m + 1)]
-    elif isinstance(spec, BackwardOrbitRep):
-        pts = [spec.point.coordinate(j) for j in range(1, spec.size + 1)]
-    else:
-        raise TypeError(f"unknown representation spec {spec!r}")
-    n = len(pts)
-    if lam is None:
-        u = _chain({1: np.ones(n - 1)}, n)
-    else:
-        u = _lambda_sum(_cycle({1: np.ones(n)}, n), lam, n)
-    d = np.array([evaluate_base(sys, f, x) for x in pts])
-    dphi = np.array([evaluate_base(sys, fphi, x) for x in pts])
-    return u, d, dphi
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,19 @@ def test_bilateral_orbit_check_shift(doubling):
     assert res["gap"] <= narrow["gap"] + 1e-12
 
 
+def test_bilateral_orbit_check_reads_backward_shifts(doubling):
+    # orbit_sup runs over coordinates 1..2M+1 of the lift; 1 + cos peaks only
+    # at coordinate 1 (the point 0) of the lift 0, 1/2, 3/4, 7/8, ...
+    top = sc.ExplicitTail(lambda sys, x: sc.preimages(sys, x)[-1])
+    xt = sc.lift_point(doubling, sc.rational(0, 1), top)
+    el = sc.from_base(doubling, sc.TrigPoly.from_coeffs({0: 1.0, 1: 0.5, -1: 0.5}))
+    el = el + sc.random_semicrossed_element(doubling, 5, max_power=1, scale=0.1)
+    for m, n in ((1, 1), (2, 1), (2, 5), (3, 7)):
+        pts = [sc.project(sc.shift_power(doubling, xt, -k)) for k in range(2 * m + 1)]
+        want = max(sc.spectral_norm(sc.orbit_matrix(doubling, y, el, n)) for y in pts)
+        assert sc.bilateral_orbit_check(doubling, xt, el, m, size=n)["orbit_sup"] == want
+
+
 def test_bilateral_orbit_check_permutation(perm3):
     lift = sc.periodic_lift(perm3, sc.StatePoint(0))
     el = sc.from_base(perm3, sc.TabularFunction((1.0, -1.0, 0.5)), power=1)

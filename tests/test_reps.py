@@ -1,10 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
 import helpers
 import semicrossed as sc
 from helpers import power_iteration_norm
-from semicrossed.reps import _closed_sets_are_tails
+from semicrossed import corpus, functions
+from semicrossed.reps import _closed_sets_are_tails, _lift_orbits, orbit_bands
 
 
 def cosine():
@@ -179,6 +182,37 @@ def test_covariance_wrong_relation(doubling):
     assert sc.covariance_defect(doubling, back, cosine(), relation=1) > 0.1
 
 
+def _covariance_cases():
+    doubling, perm = sc.doubling_map(), sc.PermutationSystem((1, 2, 0))
+    lazy = sc.lift_point(doubling, sc.rational(1, 200), sc.SeededRandom(4))
+    e = sc.TrigPoly.from_coeffs({1: 1.0, -2: 0.5j})
+    return [
+        (doubling, e, sc.rational(1, 200), sc.rational(1, 7), lazy),
+        # on the 3-cycle, relation 2 puts the largest entry on the wraparound
+        (perm, sc.TabularFunction((0.0, 1.0, -1.0)), sc.StatePoint(0), sc.StatePoint(0),
+         sc.lift_point(perm, sc.StatePoint(0), sc.AlwaysMin())),
+    ]
+
+
+@pytest.mark.parametrize("relation", [1, 2])
+@pytest.mark.parametrize("case", range(2))
+def test_covariance_defect_equals_dense_commutator(case, relation):
+    sys, f, x, per, xt = _covariance_cases()[case]
+    specs = [
+        sc.OrbitTruncation(x, 7),
+        sc.PeriodicOrbitRep(per, complex(np.exp(0.7j))),
+        sc.BilateralWindowRep(xt, 3),
+        sc.BackwardOrbitRep(xt, 6),
+    ]
+    els = [sc.shift_element(sys), sc.from_base(sys, f), sc.from_base(sys, sc.compose_map(sys, f))]
+    for spec in specs:
+        form = sc.to_right_form if isinstance(spec, sc.BackwardOrbitRep) else (lambda el: el)
+        u, rf, rfphi = (sc.rep_matrix(sys, spec, form(el)) for el in els)
+        dense = rf @ u - u @ rfphi if relation == 1 else u @ rf - rfphi @ u
+        got = sc.covariance_defect(sys, spec, f, relation)
+        assert got == pytest.approx(np.linalg.norm(dense, 2), abs=1e-12), spec
+
+
 def test_separating_diag_is_projector(doubling):
     orbit = sc.forward_orbit(doubling, sc.rational(1, 5), 4)
     f = sc.separating_function(doubling, orbit, 2, 4)
@@ -306,7 +340,9 @@ def test_bilateral_equals_reference(case):
     sys, el = _crossed_cases()[case]
     band = max(abs(k) for k in el.powers)
     for y in sc.default_samples(sys)[1][:6]:
-        for xt in (sc.periodic_lift(sys, y), sc.lift_point(sys, y, sc.AlwaysMin())):
+        lazy = [sc.lift_point(sys, y, c) for c in (sc.AlwaysMin(), sc.SeededRandom(5))]
+        lifts = [sc.periodic_lift(sys, y)] + lazy
+        for xt in lifts:
             for m in (band, band + 3):
                 assert np.array_equal(
                     sc.bilateral_matrix(sys, xt, el, m), helpers.ref_bilateral_matrix(sys, xt, el, m)
@@ -340,3 +376,89 @@ def test_periodic_ext_matches_reference(case):
                 sc.periodic_ext_matrix(sys, lift, lam, el),
                 helpers.ref_periodic_ext_matrix(sys, lift, lam, el),
             )
+
+
+# ---------------------------------------------------------------------------
+# extended-point layouts read forward orbits of one coordinate per depth
+
+
+def _lift_systems():
+    return [
+        (sc.doubling_map(), [sc.rational(1, 7), sc.rational(1, 200)]),
+        (sc.CircleTimesK(3), [sc.rational(1, 13), sc.rational(7, 30)]),
+        (sc.golden_mean_shift(), [sc.WordPoint((), (0, 1)), sc.WordPoint((1, 0, 1), (0, 0, 1))]),
+        (sc.PermutationSystem((1, 2, 0, 4, 3)), [sc.StatePoint(1), sc.StatePoint(4)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_lift_orbits_equal_shifted_evaluation(case):
+    sys, (per, other) = _lift_systems()[case]
+    rng = random.Random(case)
+    coeffs = [(k, sc.ext(1 + k % 4, corpus.random_base(sys, rng))) for k in range(-3, 5)]
+    lifts = [sc.periodic_lift(sys, per)]
+    choosers = (sc.AlwaysMin(), sc.SeededRandom(9))
+    lifts += [sc.lift_point(sys, y, c) for y in (per, other) for c in choosers]
+    for xt in lifts:
+        for m in (0, 2, 5):
+            rows = _lift_orbits(sys, coeffs, xt, m, 2 * m + 1)
+            assert list(rows) == [k for k, _ in coeffs]
+            for k, f in coeffs:
+                want = [sc.evaluate(sys, f, sc.shift_power(sys, xt, c - m)) for c in range(2 * m + 1)]
+                assert rows[k].tobytes() == np.array(want, dtype=complex).tobytes(), (xt, m, k)
+
+
+def test_ext_layouts_validate_once_per_orbit(doubling, monkeypatch):
+    calls = {"validate": 0, "lift": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    def count(build):
+        calls.update(validate=0, lift=0)
+        build()
+        return calls["validate"], calls["lift"]
+
+    el = sc.random_crossed_element(doubling, 4, max_power=3, max_depth=3)
+    rf = sc.to_right_form(sc.random_semicrossed_element(doubling, 3))
+    periodic = sc.periodic_lift(doubling, sc.rational(1, 7))
+    lazy = sc.lift_point(doubling, sc.rational(1, 3), sc.SeededRandom(2))
+    monkeypatch.setattr(functions, "validate_base", counting("validate", functions.validate_base))
+    monkeypatch.setattr(sc.PeriodicLift, "__post_init__", counting("lift", sc.PeriodicLift.__post_init__))
+    assert count(lambda: sc.periodic_ext_matrix(doubling, periodic, 1j, el)) == (len(el.coeffs), 0)
+    for xt in (periodic, lazy):
+        assert count(lambda: sc.bilateral_matrix(doubling, xt, el, 32)) == (len(el.coeffs), 0)
+        assert count(lambda: sc.backward_matrix(doubling, xt, rf, 40)) == (len(rf.coeffs), 0)
+        for spec in (sc.BilateralWindowRep(xt, 32), sc.BackwardOrbitRep(xt, 40)):
+            # compose_map validates f, then each diagonal reads one orbit
+            assert count(lambda: sc.covariance_defect(doubling, spec, cosine())) == (3, 0)
+
+
+def test_covariance_defect_edges(doubling):
+    lift = sc.periodic_lift(doubling, sc.rational(1, 7))
+    # rho(U) is placed directly, so a window of half width 0 is fine
+    assert sc.covariance_defect(doubling, sc.BilateralWindowRep(lift, 0), cosine()) == 0.0
+    for spec in (sc.OrbitTruncation(sc.rational(1, 7), 0), sc.BackwardOrbitRep(lift, 0)):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            sc.covariance_defect(doubling, spec, cosine())
+
+
+def test_backward_matrix_truncates_wide_bands(doubling):
+    lazy = sc.lift_point(doubling, sc.rational(1, 3), sc.AlwaysMin())
+    # a power the window never reaches is never read, so never validated
+    odd = sc.element(doubling, {0: sc.ext(1, cosine()), 3: sc.ext(1, sc.TabularFunction((1.0,)))})
+    rf = sc.to_right_form(odd)
+    assert np.array_equal(
+        sc.backward_matrix(doubling, lazy, rf, 3), helpers.ref_backward_matrix(doubling, lazy, rf, 3)
+    )
+    with pytest.raises(sc.KindMismatch, match="circle systems use TrigPoly"):
+        sc.backward_matrix(doubling, lazy, rf, 4)
+
+
+def test_orbit_bands_zero_element_checks_point(doubling):
+    with pytest.raises(sc.KindMismatch, match="circle systems use RationalPoint"):
+        orbit_bands(doubling, sc.StatePoint(0), sc.element(doubling, {}), 3)
