@@ -47,6 +47,7 @@ from .functions import (
     CylinderFunction,
     TabularFunction,
     TrigPoly,
+    constant_base,
     ext,
     validate_base,
 )
@@ -182,14 +183,7 @@ def _parse_function(sys_: System, toks: list[str], where: str):
     if kind == "const":
         if len(rest) != 1:
             raise ConfigError(f"{where}: const takes one value")
-        value = _parse_complex(rest[0], where)
-        if isinstance(sys_, CircleTimesK):
-            return TrigPoly.from_coeffs({0: value})
-        if isinstance(sys_, ShiftOfFiniteType):
-            from .functions import constant_base
-
-            return constant_base(sys_, value)
-        return TabularFunction(tuple(value for _ in range(sys_.size)))
+        return constant_base(sys_, _parse_complex(rest[0], where))
     if kind == "trig":
         if not isinstance(sys_, CircleTimesK):
             raise ConfigError(f"{where}: trig functions need a circle system")

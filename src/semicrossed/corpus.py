@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Sequence
 
 from .elements import Element, element, from_base
@@ -62,7 +63,7 @@ def periodic_rationals(sys: CircleTimesK, max_den: int = 63) -> list[RationalPoi
     """
     pts = []
     for q in range(1, max_den + 1):
-        if _gcd(q, sys.k) != 1:
+        if gcd(q, sys.k) != 1:
             continue
         for p in range(q):
             f = Fraction(p, q)
@@ -101,11 +102,11 @@ def seeded_aperiodic_rationals(
     while len(out) < count:
         a = rng.randint(1, 4)
         q = rng.randrange(1, max_den + 1, 2 if sys.k % 2 == 0 else 1)
-        if _gcd(q, sys.k) != 1:
+        if gcd(q, sys.k) != 1:
             continue
         p = rng.randrange(1, sys.k**a * q)
         f = Fraction(p, sys.k**a * q)
-        if _gcd(f.denominator, sys.k) == 1:
+        if gcd(f.denominator, sys.k) == 1:
             continue
         x = RationalPoint(f)
         if point_key(x) in keys:
@@ -255,12 +256,6 @@ def golden_mean_shift() -> ShiftOfFiniteType:
 
 def doubling_map() -> CircleTimesK:
     return CircleTimesK(2)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cosine_element(sys: CircleTimesK) -> Element:

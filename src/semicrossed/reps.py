@@ -19,8 +19,9 @@ orbit, band entries read at the row's coordinate).  All of them read
 coordinate j-1 is phi(coordinate j).
 
 ``covariance_defect`` measures the defining relation on any of these and
-``invariant_subspaces_are_tails`` decides which coordinate subspaces are
-invariant under an orbit representation's generators.
+``invariant_subspaces_are_tails`` decides whether a list of base functions
+separates the first n points of a forward orbit, which is what leaves the
+tails as the only subspaces invariant under the orbit representation.
 """
 
 from __future__ import annotations
@@ -285,32 +286,22 @@ def invariant_subspaces_are_tails(
     n: int,
     tol: float = 1e-12,
 ) -> bool:
-    """True when the only invariant coordinate subspaces are the tails.
+    """True when the listed base functions separate the first n orbit points.
 
-    Decides coordinate subspaces span{e_i : i in S} only.  Builds the n x n
-    orbit matrices of the shift and of each listed base function; S is
-    invariant when it is closed in their support digraph (an edge i -> j
-    wherever some generator has |m[j, i]| > tol), so reachability decides
-    all 2^n subsets at once.  The expected family is the empty set plus the
-    suffix subspaces {k, ..., n-1}, i.e. each i reaches exactly {i, ..., n-1}.
-    Raises OrbitCollision if the first n orbit points repeat.
+    The compressed shift is one nilpotent Jordan block, so its only invariant
+    subspaces are the tails whatever the functions are.  The functions
+    contribute separation (each pair i != j has a function whose values differ
+    by more than tol; a NaN never counts): exactly then their diagonals and the
+    identity generate every coordinate projection.  That is the part that
+    carries to the full orbit representation, where the projections leave only
+    coordinate subspaces and the shift only the tails among them.  Raises
+    OrbitCollision if the first n orbit points repeat.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     orbit = forward_orbit(sys, x, n)
     if len({point_key(p) for p in orbit}) != n:
         raise OrbitCollision("forward orbit repeats inside the window")
-    mats = [_chain({1: np.ones(n - 1)}, n)]
-    mats += [_chain({0: vals}, n) for vals in _orbit_values(sys, list(funcs), x, n)]
-    return _closed_sets_are_tails(mats, tol)
-
-
-def _closed_sets_are_tails(mats: Sequence[np.ndarray], tol: float) -> bool:
-    """Whether the subsets closed under the edges i -> j with |m[j, i]| > tol
-    (for any m in mats) are exactly the empty set and the tails."""
-    n = mats[0].shape[0]
-    # reach[j, i] > 0 when i reaches j; `not <= tol` makes a NaN entry an edge
-    reach = np.eye(n) + sum(~(np.abs(m) <= tol) for m in mats)
-    for _ in range(n.bit_length()):  # paths of every length below 2^bits
-        reach = (reach @ reach > 0).astype(float)
-    return bool(np.array_equal(reach, np.tril(np.ones((n, n)))))
+    vals = _orbit_values(sys, list(funcs), x, n)
+    gaps = np.abs(vals[:, :, None] - vals[:, None, :]) > tol
+    return bool((gaps.any(axis=0) | np.eye(n, dtype=bool)).all())

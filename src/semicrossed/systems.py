@@ -14,9 +14,12 @@ All operations are deterministic and exact where the representation allows.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import (
     InvalidMatrix,
@@ -406,17 +409,13 @@ def admissible_words(sys: ShiftOfFiniteType, length: int) -> list[tuple[int, ...
 # separating functions (Tietze-style interpolants)
 
 
-def _fejer_square_coeffs(r: int, shift: Fraction) -> dict[int, complex]:
-    # (sin(r*pi*(x-shift)) / (r*sin(pi*(x-shift))))^2 as frequency -> coefficient
-    import cmath
-
-    out: dict[int, complex] = {}
-    num = shift.numerator
-    den = shift.denominator
-    for k in range(-(r - 1), r):
-        phase = cmath.exp(-2j * cmath.pi * (((k * num) % den) / den))
-        out[k] = (r - abs(k)) / (r * r) * phase
-    return out
+def _fejer_square_coeffs(r: int, shift: Fraction) -> np.ndarray:
+    # (sin(r*pi*(x-shift)) / (r*sin(pi*(x-shift))))^2 at frequencies -(r-1)..r-1;
+    # (k*num) mod den stays in Python ints, den may exceed int64
+    num, den = shift.numerator, shift.denominator
+    ks = range(-(r - 1), r)
+    phases = np.array([cmath.exp(-2j * cmath.pi * (((k * num) % den) / den)) for k in ks])
+    return (r - np.abs(ks)) / (r * r) * phases
 
 
 def separating_function(sys: System, orbit: Sequence[Point], target: int, upto: int):
@@ -442,17 +441,18 @@ def separating_function(sys: System, orbit: Sequence[Point], target: int, upto: 
             raise SeparationImpossible(f"orbit[{j}] equals orbit[{target}]")
 
     if isinstance(sys, CircleTimesK):
-        f = fn.TrigPoly.from_coeffs({0: 1.0})
+        # product of the factors 1 - bump, dense from frequency lo upwards
+        prod, lo = np.ones(1, dtype=complex), 0
         xt = pts[target].value
         for j, x in enumerate(pts):
             if j == target:
                 continue
-            diff = (xt - x.value) % 1
-            b = diff.denominator  # diff != 0 so b >= 2
-            bump = fn.TrigPoly.from_coeffs(_fejer_square_coeffs(b, x.value))
-            factor = fn.base_add(sys, fn.TrigPoly.from_coeffs({0: 1.0}), fn.base_scale(bump, -1.0))
-            f = fn.base_mul(sys, f, factor)
-        return f
+            b = ((xt - x.value) % 1).denominator  # diff != 0 so b >= 2
+            factor = -_fejer_square_coeffs(b, x.value)
+            factor[b - 1] += 1.0
+            prod = np.convolve(prod, factor)
+            lo -= b - 1
+        return fn.TrigPoly.from_coeffs({lo + i: c for i, c in enumerate(prod)})
 
     if isinstance(sys, ShiftOfFiniteType):
         # depth: first position separating the target word from every other

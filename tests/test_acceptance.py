@@ -86,6 +86,6 @@ def test_criterion_09_pushdown_and_embedding():
 
 
 def test_criterion_10_invariant_tails():
-    # exhaustive subset enumeration: the invariant coordinate subspaces of
-    # the orbit compressions are exactly the tail nest
+    # the separating functions separate the first n orbit points, so the
+    # invariant subspaces of the orbit representations are the tail nest
     report(10, "invariant subspaces are the tails", run("nest-tails"))

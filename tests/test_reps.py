@@ -6,8 +6,8 @@ import pytest
 import helpers
 import semicrossed as sc
 from helpers import power_iteration_norm
-from semicrossed import corpus, functions
-from semicrossed.reps import _closed_sets_are_tails, _lift_orbits, orbit_bands
+from semicrossed import corpus, functions, reps
+from semicrossed.reps import _lift_orbits, orbit_bands
 
 
 def cosine():
@@ -229,6 +229,23 @@ def test_invariant_subspaces_true_case(doubling):
     assert sc.invariant_subspaces_are_tails(doubling, x, funcs, 3)
 
 
+@pytest.mark.parametrize("funcs", [[cosine()], [sc.TrigPoly.from_coeffs({0: 1.0})], []])
+def test_invariant_subspaces_need_separation(doubling, funcs):
+    # cos takes the same value at 1/5 and 4/5; a constant or no function
+    # separates nothing, although the compressed shift alone has only the tails
+    assert not sc.invariant_subspaces_are_tails(doubling, sc.rational(1, 5), funcs, 4)
+
+
+def test_invariant_subspaces_single_point(doubling):
+    assert sc.invariant_subspaces_are_tails(doubling, sc.rational(1, 5), [], 1)
+
+
+@pytest.mark.parametrize("row,want", [([1.0, 0.0], True), ([np.nan, 0.0], False)])
+def test_invariant_subspaces_nan_does_not_separate(doubling, monkeypatch, row, want):
+    monkeypatch.setattr(reps, "_orbit_values", lambda *args: np.array([row], dtype=complex))
+    assert sc.invariant_subspaces_are_tails(doubling, sc.rational(1, 5), [cosine()], 2) is want
+
+
 def test_invariant_subspaces_collision(doubling):
     x = sc.rational(1, 3)
     with pytest.raises(sc.OrbitCollision):
@@ -245,22 +262,6 @@ def test_invariant_subspaces_window(doubling):
 
 def _tails(n):
     return {frozenset()} | {frozenset(range(k, n)) for k in range(n)}
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_closure_matches_subset_search(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 9))
-    mats = [np.diag(np.ones(n - 1), -1)]  # start from the shift, then perturb
-    for _ in range(int(rng.integers(0, 3))):
-        m = np.zeros((n, n), dtype=complex)
-        hits = rng.random((n, n)) < rng.choice([0.05, 0.2, 0.5])
-        m[hits] = rng.choice([1e-13, 1e-12, 2e-12, 1.0], size=int(hits.sum()))
-        mats.append(m)
-    if rng.random() < 0.3:
-        mats[0] = np.zeros((n, n))  # no shift: the tails stop being the only answer
-    brute = helpers.brute_invariant_subsets(mats)
-    assert _closed_sets_are_tails(mats, 1e-12) == (brute == _tails(n))
 
 
 @pytest.mark.parametrize("q,n", [(7, 3), (11, 6), (13, 8), (19, 8)])

@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicrossed as sc
+from semicrossed import functions
 from helpers import brute_admissible_words, brute_sft_properties, nonzero_transitions
 
 
@@ -147,6 +149,45 @@ def test_separating_function_sft(golden_mean):
     f = sc.separating_function(golden_mean, orbit, 2, 4)
     vals = [sc.evaluate_base(golden_mean, f, x) for x in orbit]
     assert vals == [0, 0, 1, 0]
+
+
+def test_separating_function_makes_no_base_mul(doubling, monkeypatch):
+    calls = []
+    real = functions.base_mul
+    monkeypatch.setattr(functions, "base_mul", lambda *a: calls.append(1) or real(*a))
+    orbit = sc.forward_orbit(doubling, sc.rational(1, 19), 8)
+    sc.separating_function(doubling, orbit, 3, 8)
+    assert calls == []
+
+
+def _product_by_dicts(sys, orbit, target, upto):
+    """The circle separating function built factor by factor with base_mul."""
+    one = sc.TrigPoly.from_coeffs({0: 1.0})
+    f = one
+    xt = orbit[target].value
+    for j, x in enumerate(orbit[:upto]):
+        if j == target:
+            continue
+        r = ((xt - x.value) % 1).denominator
+        num, den = x.value.numerator, x.value.denominator
+        bump = sc.TrigPoly.from_coeffs(
+            {
+                k: (r - abs(k)) / (r * r) * cmath.exp(-2j * cmath.pi * ((k * num) % den / den))
+                for k in range(-(r - 1), r)
+            }
+        )
+        factor = functions.base_add(sys, one, functions.base_scale(bump, -1.0))
+        f = functions.base_mul(sys, f, factor)
+    return f
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (19, 8), (103, 10)])
+def test_separating_function_matches_dict_product(doubling, q, n):
+    orbit = sc.forward_orbit(doubling, sc.rational(1, q), n)
+    for target in (0, n - 1):
+        got = sc.separating_function(doubling, orbit, target, n).as_dict()
+        want = _product_by_dicts(doubling, orbit, target, n).as_dict()
+        assert max(abs(got.get(k, 0) - want.get(k, 0)) for k in got.keys() | want.keys()) <= 1e-12
 
 
 def test_separating_function_collision(doubling):
