@@ -451,3 +451,17 @@ def brute_invariant_subsets(mats, tol: float = 1e-12) -> set:
         ):
             found.add(frozenset(s))
     return found
+
+
+def brute_tied_subsets(diags, n: int, tol: float = 1e-12) -> set:
+    """Every subset S of range(n) with at least two points on which each n x n
+    diagonal matrix is constant: no two entries in S differ by more than tol
+    (so a NaN ties), found by testing all 2^n subsets (small n only)."""
+    found = set()
+    for mask in range(2**n):
+        s = [i for i in range(n) if mask >> i & 1]
+        if len(s) >= 2 and not any(
+            (np.abs(d[s, s][:, None] - d[s, s][None, :]) > tol).any() for d in diags
+        ):
+            found.add(frozenset(s))
+    return found

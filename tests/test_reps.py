@@ -264,6 +264,49 @@ def _tails(n):
     return {frozenset()} | {frozenset(range(k, n)) for k in range(n)}
 
 
+# 2 has order 10, 12, 18, 11, 28 modulo these, so every window n <= 8 is collision-free
+_PERIODIC_Q = (11, 13, 19, 23, 29)
+
+
+def _random_base(rng):
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return sc.TrigPoly.from_coeffs({0: float(rng.normal())})
+    if kind == 1:  # a real cosine polynomial ties at y and 1 - y
+        a = rng.normal(size=3)
+        return sc.TrigPoly.from_coeffs({s * k: a[k - 1] / 2 for k in (1, 2, 3) for s in (1, -1)})
+    c = rng.normal(size=7) + 1j * rng.normal(size=7)
+    return sc.TrigPoly.from_coeffs({k: c[k + 3] for k in range(-3, 4)})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closure_matches_subset_search(doubling, seed):
+    # random function lists (constants, cosine polynomials, complex polynomials)
+    # on random periodic orbits of x -> 2x, against brute-force subset search
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    q = int(rng.choice(_PERIODIC_Q))
+    x = sc.rational(int(rng.integers(1, q)), q)
+    funcs = [_random_base(rng) for _ in range(int(rng.integers(0, 4)))]
+    orbit = sc.forward_orbit(doubling, x, n)
+    diags = [np.diag([sc.evaluate_base(doubling, f, p) for p in orbit]) for f in funcs]
+    # the compressed shift leaves only the tails, whatever the functions are
+    assert helpers.brute_invariant_subsets([np.diag(np.ones(n - 1), -1)] + diags) == _tails(n)
+    separated = sc.invariant_subspaces_are_tails(doubling, x, funcs, n)
+    assert separated == (not helpers.brute_tied_subsets(diags, n))
+    if not separated:
+        return
+    for t in range(n):  # the diagonals generate each coordinate projection
+        proj = np.eye(n, dtype=complex)
+        for j in range(n):
+            if j != t:
+                d = next(d for d in diags if abs(d[t, t] - d[j, j]) > 1e-12)
+                proj = proj @ (d - d[j, j] * np.eye(n)) / (d[t, t] - d[j, j])
+        want = np.zeros((n, n))
+        want[t, t] = 1.0
+        assert np.max(np.abs(proj - want)) <= 1e-9
+
+
 @pytest.mark.parametrize("q,n", [(7, 3), (11, 6), (13, 8), (19, 8)])
 def test_invariant_subspaces_match_subset_search(doubling, q, n):
     x = sc.rational(1, q)
