@@ -616,7 +616,7 @@ def check_nest_tails(budgets: Budgets | None = None) -> CheckReport:
             CheckRow(
                 f"case{idx:02d} {label} x={_point_label(x)} n={n}",
                 bool(good),
-                f"subsets={2 ** n}",
+                f"pairs={n * (n - 1) // 2}",
             )
         )
     return CheckReport("nest-tails", tuple(rows))

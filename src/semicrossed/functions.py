@@ -321,7 +321,7 @@ class NormBracket:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise ValueError("bracket endpoints must be finite")
+            raise NonFinite("bracket endpoints must be finite")
         if self.lower > self.upper + 1e-12:
             raise ValueError(f"bracket inverted: [{self.lower}, {self.upper}]")
 

@@ -289,11 +289,16 @@ def periodic_norm_estimate(
 ) -> NormEstimate:
     """Periodic-family supremum over a lambda grid with a Lipschitz certificate.
 
-    For each sampled periodic point the p x p matrices over all grid scalars
-    are assembled in one stack and reduced by batched SVD.  The norm as a
-    function of the angle is Lipschitz with constant sum |n| * sup|f_n|, so
-    the grid maximum plus L*pi/grid_size certifies an upper bound for the
-    sampled family, capped by the l1 bound.
+    For a sample of period p the matrix at lambda * zeta, zeta a p-th root of
+    unity, is U M(lambda) U^-1 with U = diag(zeta^i): every entry of power k
+    sits at ((c+k) mod p, c) and picks up zeta^k either way.  So the norm
+    depends only on mu = lambda^p, and on the grid of G = grid_size angles
+    angle j and angle j + m agree, m = G / gcd(p, G).  Only the first m grid
+    scalars are assembled, in one stack reduced by batched SVD, and angle j
+    reads the value at j mod m.  The norm as a function of the angle is
+    Lipschitz with constant sum |n| * sup|f_n|, so the grid maximum plus
+    L*pi/grid_size certifies an upper bound for the sampled family, capped by
+    the l1 bound.
     """
     require_semicrossed(el)
     if not periodic_points:
@@ -311,12 +316,15 @@ def periodic_norm_estimate(
             raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
         if not el.coeffs:  # the zero element: every matrix is 0
             continue
-        # stack sum_k lam^k * C^k D_k over the lambda grid in one shot
+        # stack sum_k lam^k * C^k D_k over the m distinct mu in one shot
+        m = grid_size // math.gcd(cls.period, grid_size)
         bands = _cycle(_coeff_orbits(sys, el.coeffs, y, cls.period), cls.period)
-        powers = np.stack([lams ** k for k in bands], axis=1)  # (L, nbands)
+        powers = np.stack([lams[:m] ** k for k in bands], axis=1)  # (m, nbands)
         mats = np.einsum("lk,kij->lij", powers, np.stack(list(bands.values())))
+        if not np.all(np.isfinite(mats.view(float))):
+            raise NonFinite("matrix has non-finite entries")
         svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        per_lambda = np.maximum(per_lambda, svals)
+        per_lambda = np.maximum(per_lambda, np.tile(svals, grid_size // m))
         j = int(np.argmax(svals))
         if svals[j] > best:
             best = float(svals[j])

@@ -315,10 +315,15 @@ def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
             if q == 0
             else Classification.eventually_periodic(q, p)
         )
+    if isinstance(sys, CircleTimesK):
+        # a/q walks the residues r -> k*r mod q; equal residues, equal points
+        q, k = x.value.denominator, sys.k
+        cur, step, point_id = x.value.numerator, (lambda r: k * r % q), int
+    else:
+        cur, step, point_id = x, (lambda y: apply_map(sys, y)), point_key
     seen: dict = {}
-    cur = x
     for i in range(max_steps + 1):
-        key = point_key(cur)
+        key = point_id(cur)
         if key in seen:
             first = seen[key]
             period = i - first
@@ -326,7 +331,7 @@ def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
                 return Classification.periodic(period)
             return Classification.eventually_periodic(first, period)
         seen[key] = i
-        cur = apply_map(sys, cur)
+        cur = step(cur)
     return Classification.unresolved(max_steps)
 
 

@@ -164,6 +164,42 @@ def doubling_orbit_fraction(x: Fraction, steps: int) -> list[Fraction]:
     return out
 
 
+def ref_classify(sys, x, max_steps: int = 4096):
+    """``classify`` walking every point through ``apply_map`` and keying it by
+    ``point_key``, the loop the package ran before it walked circle points as
+    integer residues."""
+    from semicrossed.systems import (
+        Classification,
+        WordPoint,
+        apply_map,
+        check_point,
+        point_key,
+    )
+
+    check_point(sys, x)
+    if isinstance(x, WordPoint):
+        p = len(x.cycle)
+        q = len(x.preperiod)
+        return (
+            Classification.periodic(p)
+            if q == 0
+            else Classification.eventually_periodic(q, p)
+        )
+    seen: dict = {}
+    cur = x
+    for i in range(max_steps + 1):
+        key = point_key(cur)
+        if key in seen:
+            first = seen[key]
+            period = i - first
+            if first == 0:
+                return Classification.periodic(period)
+            return Classification.eventually_periodic(first, period)
+        seen[key] = i
+        cur = apply_map(sys, cur)
+    return Classification.unresolved(max_steps)
+
+
 def dense_orbit_norm_estimate(sys, el, points, n_max: int = 256):
     """The orbit ladder with a dense SVD at every (point, size) cell.
 

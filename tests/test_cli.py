@@ -242,6 +242,17 @@ def test_negative_power_flagged(capsys, tmp_path):
     assert "NotSemicrossed" in out
 
 
+def test_norm_overflow_is_typed(capsys, tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        "system {\n kind circle\n k 2\n}\nbudgets {\n nmax 16\n grid 16\n window 8\n seed 7\n}\n"
+        "element B {\n term 0 const 1e308\n term 1 const 1e308\n}\n"
+    )
+    code, out = run_cli(capsys, "--config", str(cfg), "norm", "B")
+    assert code == 2
+    assert out.startswith("error\tNonFinite\t")
+
+
 def test_unknown_key_line_number(capsys, tmp_path):
     cfg = tmp_path / "odd.cfg"
     cfg.write_text("system {\n kind circle\n k 2\n flavor mild\n}\n")

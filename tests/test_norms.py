@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,12 @@ def _periodic_identity_cases():
         pytest.param(golden, cylinder_element(golden, 10, 5), None, id="golden-depth10"),
         pytest.param(SFT3, cylinder_element(SFT3, 10, 6), None, id="sft3-depth10"),
         pytest.param(PERM7, sc.random_semicrossed_element(PERM7, 3, max_power=3), None, id="permutation7"),
+        pytest.param(
+            doubling,
+            sc.random_semicrossed_element(doubling, 11, max_power=3),
+            [y for y in sc.default_samples(doubling)[1] if sc.classify(doubling, y).period % 2],
+            id="doubling-odd-periods",
+        ),
     ]
 
 
@@ -149,7 +157,83 @@ def test_periodic_estimate_matches_permutation_powers(sys, el, periodic):
         _, periodic = sc.default_samples(sys)
     new = sc.periodic_norm_estimate(sys, el, periodic)
     ref = ref_periodic_norm_estimate(sys, el, periodic)
-    assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+    if all(sc.classify(sys, y).period % 2 for y in periodic):
+        # an odd period shares no factor with the 256-point grid: every angle
+        # is its own mu, so the stack and its SVDs are the reference's own
+        assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+        return
+    # an even period scans only its distinct mu, so angle j reads the SVD at
+    # j mod m, a unitarily equivalent matrix equal up to rounding
+    close = dict(rtol=1e-12, atol=0.0)
+    new_ends = [new.bracket.lower, new.bracket.upper]
+    np.testing.assert_allclose(new_ends, [ref.bracket.lower, ref.bracket.upper], **close)
+    assert new.bracket.upper_method == ref.bracket.upper_method
+    assert [k for k, _ in new.traces] == [k for k, _ in ref.traces]
+    np.testing.assert_allclose([v for _, v in new.traces], [v for _, v in ref.traces], **close)
+    # the witness names a sample and an angle whose reference value is the lower end
+    assert new.bracket.lower_witness == new.witness
+    label, angle = re.fullmatch(r"periodic y=(\S+) angle=(\d+)/256", new.witness).groups()
+    (y,) = [y for y in periodic if norms._point_label(y) == label]
+    at = ref_periodic_norm_estimate(sys, el, [y]).traces[int(angle)][1]
+    np.testing.assert_allclose(at, new.bracket.lower, **close)
+
+
+@pytest.mark.parametrize(
+    "sys,count",
+    [(sc.CircleTimesK(2), 7_936), (sc.CircleTimesK(3), 11_072)],
+    ids=["doubling", "tripling"],
+)
+def test_periodic_scan_svds_once_per_distinct_mu(sys, count, monkeypatch):
+    # sum over samples of 256 / gcd(p, 256) matrices, not 256 per sample
+    stacked = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        norms.np.linalg, "svd", lambda a, *args, **kw: stacked.append(len(a)) or svd(a, *args, **kw)
+    )
+    _, per = sc.default_samples(sys)
+    sc.periodic_norm_estimate(sys, sc.random_semicrossed_element(sys, 11, max_power=3), per, 256)
+    assert len(stacked) == len(per)
+    assert sum(stacked) == count
+
+
+def _period_cases():
+    doubling = sc.CircleTimesK(2)
+    golden = sc.golden_mean_shift()
+    perm = sc.PermutationSystem((1, 2, 0, 4, 3, 5))
+    wide = sc.element(doubling, {k: sc.ext(1, cosine()) for k in range(5)})
+    return [
+        pytest.param(doubling, sc.random_semicrossed_element(doubling, 11, max_power=3), sc.rational(1, 63), id="circle"),
+        pytest.param(golden, cylinder_element(golden, 3, 5), sc.WordPoint((), (0, 1, 0, 0)), id="golden"),
+        pytest.param(perm, sc.random_semicrossed_element(perm, 2, max_power=2), sc.StatePoint(3), id="permutation"),
+        pytest.param(doubling, wide, sc.rational(1, 3), id="band-at-least-period"),
+    ]
+
+
+@pytest.mark.parametrize("sys,el,y", _period_cases())
+def test_periodic_norm_depends_on_lambda_to_the_period(sys, el, y):
+    p = sc.classify(sys, y).period
+    lam = complex(np.exp(2j * np.pi * 0.1234))
+    base = sc.spectral_norm(sc.periodic_matrix(sys, y, lam, el))
+    assert base > 0
+    for j in range(1, p):
+        turned = lam * complex(np.exp(2j * np.pi * j / p))
+        assert abs(sc.spectral_norm(sc.periodic_matrix(sys, y, turned, el)) - base) <= 1e-13
+    # a turn that is not a p-th root of unity does move the norm
+    off = lam * complex(np.exp(1j * np.pi / p))
+    assert abs(sc.spectral_norm(sc.periodic_matrix(sys, y, off, el)) - base) > 1e-6
+
+
+def test_periodic_estimate_non_finite_stack(doubling):
+    huge = sc.ext(1, sc.constant_base(doubling, 1e308))
+    el = sc.element(doubling, {0: huge, 1: huge})  # 1e308 + 1e308 at the fixed point
+    with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
+        sc.periodic_norm_estimate(doubling, el, [sc.rational(0, 1)], 8)
+
+
+def test_bracket_rejects_non_finite_ends():
+    for lower, upper in [(np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0)]:
+        with pytest.raises(sc.NonFinite, match="bracket endpoints must be finite"):
+            sc.NormBracket(lower, upper)
 
 
 def test_estimates_validate_each_coefficient_once_per_point(golden_mean, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 import helpers
 import semicrossed as sc
 from helpers import power_iteration_norm
-from semicrossed import corpus, functions, reps
+from semicrossed import checks, corpus, functions, reps
 from semicrossed.reps import _lift_orbits, orbit_bands
 
 
@@ -506,3 +506,10 @@ def test_backward_matrix_truncates_wide_bands(doubling):
 def test_orbit_bands_zero_element_checks_point(doubling):
     with pytest.raises(sc.KindMismatch, match="circle systems use RationalPoint"):
         orbit_bands(doubling, sc.StatePoint(0), sc.element(doubling, {}), 3)
+
+
+def test_nest_tails_detail_counts_pairs():
+    # the separation test compares each pair of the first n orbit points once
+    for row in checks.check_nest_tails().rows:
+        n = int(row.name.rsplit("n=", 1)[1])
+        assert row.detail == f"pairs={n * (n - 1) // 2}"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import semicrossed as sc
 from semicrossed import functions
-from helpers import brute_admissible_words, brute_sft_properties, nonzero_transitions
+from helpers import brute_admissible_words, brute_sft_properties, nonzero_transitions, ref_classify
 
 
 def test_doubling_apply(doubling):
@@ -38,6 +38,29 @@ def test_classify_circle(doubling):
     assert (half.kind, half.preperiod, half.period) == ("eventually-periodic", 1, 1)
     sixth = sc.classify(doubling, sc.rational(1, 6))
     assert (sixth.preperiod, sixth.period) == (1, 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_classify_circle_matches_point_walk(k):
+    # the integer residue walk against the Fraction walk, on every a/q, q < 80
+    sys = sc.CircleTimesK(k)
+    points = {Fraction(a, q) for q in range(1, 80) for a in range(q)}
+    for value in sorted(points):
+        x = sc.RationalPoint(value)
+        for steps in (0, 3, 4096):
+            assert sc.classify(sys, x, steps) == ref_classify(sys, x, steps)
+
+
+def test_classify_checks_point(doubling, golden_mean, perm3):
+    for sys, x in [
+        (doubling, sc.StatePoint(0)),
+        (doubling, sc.WordPoint((), (0,))),
+        (golden_mean, sc.rational(1, 3)),
+        (perm3, sc.StatePoint(3)),
+    ]:
+        for walk in (sc.classify, ref_classify):
+            with pytest.raises(sc.KindMismatch):
+                walk(sys, x, 0)
 
 
 def test_rational_normalizes():
