@@ -96,25 +96,22 @@ class CheckReport:
 
 
 def _system_pool():
-    return [
+    """(label, system, its periodic points of period at most 5)."""
+    systems = [
         ("circle2", corpus.doubling_map()),
         ("circle3", CircleTimesK(3)),
         ("goldenmean", corpus.golden_mean_shift()),
         ("full2", ShiftOfFiniteType(((1, 1), (1, 1)))),
         ("perm3", PermutationSystem((1, 2, 0))),
     ]
+    return [(label, sys, corpus.periodic_points(sys, 5)) for label, sys in systems]
 
 
-def _some_periodic_point(sys, rng: random.Random):
-    pts = corpus.periodic_points(sys, 5)
-    return pts[rng.randrange(len(pts))]
-
-
-def _some_point(sys, rng: random.Random):
+def _some_point(sys, periodic, rng: random.Random):
     if isinstance(sys, CircleTimesK):
         q = rng.randrange(3, 64)
         return RationalPoint(Fraction(rng.randrange(q), q))
-    return _some_periodic_point(sys, rng)
+    return rng.choice(periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +124,12 @@ def check_covariance(budgets: Budgets | None = None) -> CheckReport:
     pool = _system_pool()
     rows = []
     for i in range(200):
-        label, sys = pool[i % len(pool)]
+        label, sys, periodic = pool[i % len(pool)]
         f = corpus.random_base(sys, rng)
-        per = _some_periodic_point(sys, rng)
+        per = rng.choice(periodic)
         kind = i % 4
         if kind == 0:
-            spec = OrbitTruncation(_some_point(sys, rng), 5 + rng.randrange(12))
+            spec = OrbitTruncation(_some_point(sys, periodic, rng), 5 + rng.randrange(12))
             spec_label = f"orbit n={spec.size}"
         elif kind == 1:
             lam = complex(np.exp(2j * np.pi * rng.randrange(16) / 16))
@@ -241,10 +238,10 @@ def check_compression(budgets: Budgets | None = None) -> CheckReport:
     sizes = [4, 8, 16, 32, 64]
     rows = []
     for i in range(100):
-        label, sys = pool[i % len(pool)]
+        label, sys, periodic = pool[i % len(pool)]
         el = corpus.random_semicrossed_element(sys, b.seed * 1000 + i)
         cap = l1_upper_bound(el) + 1e-10
-        pts = [_some_point(sys, rng) for _ in range(3)]
+        pts = [_some_point(sys, periodic, rng) for _ in range(3)]
         worst_drop = 0.0
         worst_over = 0.0
         ok = True
@@ -458,9 +455,13 @@ def check_bilateral(budgets: Budgets | None = None) -> CheckReport:
 def check_endomorphism(budgets: Budgets | None = None) -> CheckReport:
     b = budgets or Budgets()
     pool = _system_pool()
+    samples_by = [
+        corpus.canonical_ext_samples(sys, b.seed, max_period=3, lift_count=2)[:4]
+        for _, sys, _ in pool
+    ]
     rows = []
     for i in range(100):
-        label, sys = pool[i % len(pool)]
+        label, sys, periodic = pool[i % len(pool)]
         if i % 2 == 0:
             el = corpus.random_semicrossed_element(sys, b.seed * 300 + i)
         else:
@@ -469,9 +470,8 @@ def check_endomorphism(budgets: Budgets | None = None) -> CheckReport:
         ok = al.powers == el.powers
         if is_semicrossed(el):
             ok = ok and is_semicrossed(al)
-        samples = corpus.canonical_ext_samples(sys, b.seed, max_period=3, lift_count=2)
         worst = 0.0
-        for xt in samples[:4]:
+        for xt in samples_by[i % len(pool)]:
             moved = shift(sys, xt)
             for (_, f1), (_, f2) in zip(el.coeffs, al.coeffs):
                 lhs = evaluate(sys, f2, xt)
@@ -480,7 +480,7 @@ def check_endomorphism(budgets: Budgets | None = None) -> CheckReport:
         ok = ok and worst <= 1e-12
         block = ""
         if i % 5 == 0:
-            xt = periodic_lift(sys, _some_periodic_point(sys, random.Random(i)))
+            xt = periodic_lift(sys, random.Random(i).choice(periodic))
             m = max(4, el.max_power + 2, -el.min_power + 2)
             w = bilateral_matrix(sys, xt, el, m)
             a = bilateral_matrix(sys, xt, al, m)
@@ -513,14 +513,15 @@ def _periodic_lifts_for(sys, count: int = 2):
 def check_pushdown(budgets: Budgets | None = None) -> CheckReport:
     b = budgets or Budgets()
     pool = _system_pool()
+    lifts_by = [_periodic_lifts_for(sys) for _, sys, _ in pool]
     rows = []
     for i in range(50):
-        label, sys = pool[i % len(pool)]
+        label, sys, _ = pool[i % len(pool)]
         g = corpus.random_crossed_element(
             sys, b.seed * 700 + i, max_power=2, max_depth=4, min_power=0
         )
         d = g.max_depth
-        lifts = _periodic_lifts_for(sys)
+        lifts = lifts_by[i % len(pool)]
         ok = True
         details = []
         for j in (0, 1, 2):

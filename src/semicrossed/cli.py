@@ -42,6 +42,7 @@ from .extension import (
     classify_lift,
     lift_point,
     periodic_lift,
+    verify_transfer,
 )
 from .functions import (
     CylinderFunction,
@@ -69,7 +70,6 @@ from .systems import (
     WordPoint,
     classify,
 )
-from .extension import verify_transfer
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,9 @@ def _parse_budgets(body: list[tuple[int, list[str]]]) -> Budgets:
     for lineno, toks in body:
         where = f"line {lineno}"
         key = toks[0]
-        if key in keys:
-            vals[keys[key]] = _parse_int(toks[1], where)
-        elif key == "tolerance":
-            vals["tolerance"] = _parse_real(toks[1], where)
-        else:
+        if key not in keys:
             raise ConfigError(f"{where}: unknown budgets key {key!r}")
+        vals[keys[key]] = _parse_int(toks[1], where)
     return Budgets(**vals)
 
 

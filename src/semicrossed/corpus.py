@@ -31,8 +31,7 @@ from .systems import (
     StatePoint,
     System,
     WordPoint,
-    classify,
-    forward_orbit,
+    _orbit_ids,
     point_key,
 )
 
@@ -45,7 +44,6 @@ class Budgets:
     grid_size: int = 256
     half_width: int = 128
     seed: int = 7
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.n_max < 4 or self.grid_size < 8 or self.half_width < 1:
@@ -76,17 +74,18 @@ def orbit_representatives(sys: System, pts: Sequence[Point]) -> list[Point]:
     """Keep one point per forward orbit (smallest key wins).
 
     Orbit representations at points on the same periodic orbit are unitarily
-    equivalent, so estimates only need one representative.
+    equivalent, so estimates only need one representative.  Points share an
+    orbit when their ``_orbit_ids`` sets agree (distinct points only on a
+    common cycle); a walk that does not close in 4096 steps is its own orbit.
     """
     seen = set()
     out = []
     for x in sorted(pts, key=point_key):
-        cls = classify(sys, x)
-        steps = (cls.preperiod or 0) + (cls.period or 1)
-        orbit_keys = frozenset(point_key(y) for y in forward_orbit(sys, x, steps))
-        if orbit_keys in seen:
+        ids, first = _orbit_ids(sys, x, 4096)
+        orbit = frozenset(ids if first is not None else ids[:1])
+        if orbit in seen:
             continue
-        seen.add(orbit_keys)
+        seen.add(orbit)
         out.append(x)
     return out
 
@@ -168,12 +167,9 @@ def default_samples(sys: System, budgets: Budgets | None = None):
     """(orbit sample points, periodic sample points) for norm estimates."""
     b = budgets or Budgets()
     if isinstance(sys, CircleTimesK):
-        per = periodic_rationals(sys)
-        pts = orbit_representatives(sys, per)
-        pts = pts + seeded_aperiodic_rationals(sys, seed=b.seed)
-        return pts, orbit_representatives(sys, per)
-    per = periodic_points(sys, 6)
-    reps = orbit_representatives(sys, per)
+        reps = orbit_representatives(sys, periodic_rationals(sys))
+        return reps + seeded_aperiodic_rationals(sys, seed=b.seed), reps
+    reps = orbit_representatives(sys, periodic_points(sys, 6))
     return reps, reps
 
 

@@ -5,7 +5,7 @@ phi(x_{j+1}) = x_j.  Two concrete representations:
 
 * ``PeriodicLift``  -- a finite cyclic tuple of coordinates (exact, total),
 * ``LazyLift``      -- coordinates materialized on demand from a seed point
-  and a preimage chooser, memoized and thread safe.
+  and a preimage chooser, memoized.
 
 The extension shift prepends phi(x1); its inverse drops the first
 coordinate.  ``project`` reads coordinate 1.  Classification of lifts never
@@ -18,7 +18,6 @@ choosers are memoryless (their choice depends only on the current point).
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -144,7 +143,6 @@ class _BackwardCache:
 
     coord(1) is the anchor point; coord(j) for j >= 2 extends backward via
     the chooser; coord(j) for j <= 0 is a forward image of the anchor.
-    Appending is guarded by a lock so concurrent readers stay consistent.
     """
 
     def __init__(self, sys: System, anchor: Point, chooser: Chooser):
@@ -153,21 +151,16 @@ class _BackwardCache:
         self.chooser = chooser
         self._back: list[Point] = [anchor]  # index j-1 holds coord(j), j >= 1
         self._fwd: list[Point] = []  # index i holds coord(-i), i >= 0 -> coord(0), coord(-1), ...
-        self._lock = threading.Lock()
 
     def coord(self, j: int) -> Point:
         if j >= 1:
-            if j > len(self._back):
-                with self._lock:
-                    while j > len(self._back):
-                        self._back.append(self.chooser.pick(self.system, self._back[-1]))
+            while j > len(self._back):
+                self._back.append(self.chooser.pick(self.system, self._back[-1]))
             return self._back[j - 1]
         i = -j  # want coord(-i) = phi^(i+1)(anchor)
-        if i >= len(self._fwd):
-            with self._lock:
-                while i >= len(self._fwd):
-                    prev = self._fwd[-1] if self._fwd else self._back[0]
-                    self._fwd.append(apply_map(self.system, prev))
+        while i >= len(self._fwd):
+            prev = self._fwd[-1] if self._fwd else self._back[0]
+            self._fwd.append(apply_map(self.system, prev))
         return self._fwd[i]
 
 

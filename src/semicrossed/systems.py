@@ -299,15 +299,37 @@ def forward_orbit(sys: System, x: Point, n: int) -> list[Point]:
     return out
 
 
-def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
-    """Decide periodic / eventually periodic by walking the forward orbit.
-
-    Exact for rational, word, and state points whenever max_steps covers the
-    orbit's transient (for p/q under CircleTimesK at most q steps are ever
-    needed).
+def _orbit_ids(sys: System, x: Point, max_steps: int) -> tuple[list, int | None]:
+    """(ids, first): ids of x, phi(x), ... up to the first repeat, pairwise
+    distinct, and the index of the id phi^len(ids)(x) repeats, None when none
+    repeats within max_steps steps.  A circle point a/q walks as ints
+    r -> k*r mod q with id (r, q), the point r/q; on a periodic orbit r stays
+    coprime to q, so there the ids agree from every start.  Other points walk
+    through apply_map with id point_key.
     """
     check_point(sys, x)
+    if isinstance(sys, CircleTimesK):
+        q, k = x.value.denominator, sys.k
+        cur, step, point_id = x.value.numerator, (lambda r: k * r % q), (lambda r: (r, q))
+    else:
+        cur, step, point_id = x, (lambda y: apply_map(sys, y)), point_key
+    seen: dict = {}  # id -> index, in walk order
+    for _ in range(max_steps + 1):
+        key = point_id(cur)
+        if key in seen:
+            return list(seen), seen[key]
+        seen[key] = len(seen)
+        cur = step(cur)
+    return list(seen), None
+
+
+def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
+    """Decide periodic / eventually periodic: words by their preperiod and
+    cycle, other points by their ``_orbit_ids`` walk, which is exact whenever
+    max_steps covers the transient (for p/q under CircleTimesK at most q
+    steps are ever needed)."""
     if isinstance(x, WordPoint):
+        check_point(sys, x)
         p = len(x.cycle)
         q = len(x.preperiod)
         return (
@@ -315,24 +337,13 @@ def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
             if q == 0
             else Classification.eventually_periodic(q, p)
         )
-    if isinstance(sys, CircleTimesK):
-        # a/q walks the residues r -> k*r mod q; equal residues, equal points
-        q, k = x.value.denominator, sys.k
-        cur, step, point_id = x.value.numerator, (lambda r: k * r % q), int
-    else:
-        cur, step, point_id = x, (lambda y: apply_map(sys, y)), point_key
-    seen: dict = {}
-    for i in range(max_steps + 1):
-        key = point_id(cur)
-        if key in seen:
-            first = seen[key]
-            period = i - first
-            if first == 0:
-                return Classification.periodic(period)
-            return Classification.eventually_periodic(first, period)
-        seen[key] = i
-        cur = step(cur)
-    return Classification.unresolved(max_steps)
+    ids, first = _orbit_ids(sys, x, max_steps)
+    if first is None:
+        return Classification.unresolved(max_steps)
+    period = len(ids) - first
+    if first:
+        return Classification.eventually_periodic(first, period)
+    return Classification.periodic(period)
 
 
 # ---------------------------------------------------------------------------

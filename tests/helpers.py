@@ -200,6 +200,25 @@ def ref_classify(sys, x, max_steps: int = 4096):
     return Classification.unresolved(max_steps)
 
 
+def ref_orbit_representatives(sys, pts):
+    """``orbit_representatives`` as it stood before it read ``_orbit_ids``:
+    classify each point, walk its orbit again as points and group by the set
+    of ``point_key``s (classified here by ``ref_classify``)."""
+    from semicrossed.systems import forward_orbit, point_key
+
+    seen = set()
+    out = []
+    for x in sorted(pts, key=point_key):
+        cls = ref_classify(sys, x)
+        steps = (cls.preperiod or 0) + (cls.period or 1)
+        orbit_keys = frozenset(point_key(y) for y in forward_orbit(sys, x, steps))
+        if orbit_keys in seen:
+            continue
+        seen.add(orbit_keys)
+        out.append(x)
+    return out
+
+
 def dense_orbit_norm_estimate(sys, el, points, n_max: int = 256):
     """The orbit ladder with a dense SVD at every (point, size) cell.
 

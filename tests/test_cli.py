@@ -255,10 +255,15 @@ def test_norm_overflow_is_typed(capsys, tmp_path):
 
 def test_unknown_key_line_number(capsys, tmp_path):
     cfg = tmp_path / "odd.cfg"
-    cfg.write_text("system {\n kind circle\n k 2\n flavor mild\n}\n")
-    code, out = run_cli(capsys, "--config", str(cfg), "classify", "0/1")
-    assert code == 2
-    assert "line 4" in out
+    for text, line in [
+        ("system {\n kind circle\n k 2\n flavor mild\n}\n", "line 4"),
+        ("system {\n kind circle\n k 2\n}\nbudgets {\n tolerance 1e-9\n}\n", "line 6"),
+    ]:
+        cfg.write_text(text)
+        code, out = run_cli(capsys, "--config", str(cfg), "classify", "0/1")
+        assert code == 2
+        assert line in out
+        assert "ConfigError" in out
 
 
 def test_unclosed_section(capsys, tmp_path):

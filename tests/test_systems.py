@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicrossed as sc
-from semicrossed import functions
-from helpers import brute_admissible_words, brute_sft_properties, nonzero_transitions, ref_classify
+from semicrossed import functions, systems
+from helpers import (
+    brute_admissible_words,
+    brute_sft_properties,
+    nonzero_transitions,
+    ref_classify,
+    ref_orbit_representatives,
+)
 
 
 def test_doubling_apply(doubling):
@@ -42,13 +48,78 @@ def test_classify_circle(doubling):
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_classify_circle_matches_point_walk(k):
-    # the integer residue walk against the Fraction walk, on every a/q, q < 80
+    # the integer residue walk against the Fraction walk, on every a/q, q < 80;
+    # then the state walk on a k-cycle, a 2-cycle and a fixed point
     sys = sc.CircleTimesK(k)
     points = {Fraction(a, q) for q in range(1, 80) for a in range(q)}
     for value in sorted(points):
         x = sc.RationalPoint(value)
         for steps in (0, 3, 4096):
             assert sc.classify(sys, x, steps) == ref_classify(sys, x, steps)
+    perm = sc.PermutationSystem(tuple(range(1, k)) + (0, k + 1, k, k + 2))
+    for s in range(perm.size):
+        for steps in (0, 3, 4096):
+            x = sc.StatePoint(s)
+            assert sc.classify(perm, x, steps) == ref_classify(perm, x, steps)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_orbit_representatives_circle(k):
+    sys = sc.CircleTimesK(k)
+    aperiodic = sc.seeded_aperiodic_rationals(sys, count=40, seed=k)
+    pts = sc.periodic_rationals(sys, 45) + aperiodic + aperiodic[:5]
+    pts += [sc.apply_map(sys, x) for x in aperiodic[:10]]
+    reps = sc.orbit_representatives(sys, pts)
+    assert reps == ref_orbit_representatives(sys, pts)
+    assert len(reps) < len(pts)
+
+
+def test_orbit_representatives_unresolved_point(doubling):
+    x = sc.RationalPoint(Fraction(1, 2**5000))
+    ids, first = systems._orbit_ids(doubling, x, 4096)
+    assert first is None and len(ids) == 4097
+    pts = [sc.rational(2, 3), x, sc.apply_map(doubling, x), sc.rational(1, 3)]
+    reps = sc.orbit_representatives(doubling, pts)
+    assert reps == ref_orbit_representatives(doubling, pts)
+    assert reps == [sc.rational(1, 3), pts[2], x]
+
+
+def test_orbit_representatives_words(golden_mean):
+    words = [
+        sc.WordPoint((1, 0, 1), (0,)),
+        sc.WordPoint((0, 1, 0, 1), (0, 0, 1)),
+        sc.WordPoint((1, 0, 0, 1), (0, 1)),
+        sc.WordPoint((0, 0, 1), (0,)),
+    ]
+    for w in list(words):
+        words += sc.forward_orbit(golden_mean, w, 5)[1:]
+    pts = words + sc.periodic_points(golden_mean, 4)
+    reps = sc.orbit_representatives(golden_mean, pts)
+    assert reps == ref_orbit_representatives(golden_mean, pts)
+    assert any(y.preperiod for y in reps)
+
+
+def test_orbit_representatives_two_cycles():
+    sys = sc.PermutationSystem((1, 2, 0, 4, 3))
+    pts = [sc.StatePoint(s) for s in (4, 2, 0, 1, 3, 0)]
+    reps = sc.orbit_representatives(sys, pts)
+    assert reps == ref_orbit_representatives(sys, pts)
+    assert reps == [sc.StatePoint(0), sc.StatePoint(3)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_default_samples_circle_walks_no_points(k, monkeypatch):
+    sys = sc.CircleTimesK(k)
+    want = ref_orbit_representatives(sys, sc.periodic_rationals(sys))
+
+    def boom(*args):
+        raise AssertionError("circle samples walked a point")
+
+    monkeypatch.setattr(systems, "apply_map", boom)
+    monkeypatch.setattr(systems, "forward_orbit", boom)
+    pts, per = sc.default_samples(sys)
+    assert per == want
+    assert pts[: len(per)] == per
 
 
 def test_classify_checks_point(doubling, golden_mean, perm3):
