@@ -190,9 +190,12 @@ def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
     for g in bases:
         validate_base(sys, g)
     out = np.zeros((len(bases), n), dtype=complex)
-    if isinstance(x, RationalPoint):  # integer residues p k^i mod q
+    if isinstance(x, RationalPoint):  # integer residues p k^i mod q, walked as r -> k r mod q
         q = x.value.denominator
-        res = [x.value.numerator * pow(sys.k, i, q) % q for i in range(n)]
+        res, r = [], x.value.numerator % q
+        for _ in range(n):
+            res.append(r)
+            r = sys.k * r % q
         terms = [(b, m, c) for b, g in enumerate(bases) for m, c in g.coeffs]
         ms = [m for _, m, _ in terms]
         # division rounds correctly, so unreduced residues give eval_fraction's doubles

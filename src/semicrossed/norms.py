@@ -4,14 +4,18 @@ The norm of a semicrossed element is the larger of two suprema: orbit
 representations over all points (estimated from below by sampled truncations,
 bounded above by the coefficient l1 sum) and periodic-orbit representations
 over all periodic points and unit scalars (sampled on a lambda grid with a
-Lipschitz certificate).  The comparison helpers measure, at finite size, the
-identities that make those families cofinal: the periodic-vector transfer,
-the bilateral-window versus orbit-supremum agreement, and the isometric
-embedding into the extension's crossed product.
+Lipschitz certificate).  Both scans skip, with proof, the SVDs that cannot
+move their result: a banded LDL^H (``_certify_below``) shows a truncation
+or a periodic cell below a floor the scan has already reached.  The
+comparison helpers measure, at finite size, the identities that make those
+families cofinal: the periodic-vector transfer, the bilateral-window versus
+orbit-supremum agreement, and the isometric embedding into the extension's
+crossed product.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +25,7 @@ import numpy as np
 from .elements import Element, l1_upper_bound, require_semicrossed
 from .errors import NonFinite, NotPeriodic, WindowTooSmall
 from .extension import ExtPoint
-from .functions import NormBracket, ext_sup_norm
+from .functions import NormBracket, _orbit_values, ext_sup_norm
 from .reps import (
     _check_lambda,
     _coeff_orbits,
@@ -36,13 +40,17 @@ from .reps import (
 from .systems import Point, System, classify, point_key
 
 
+def _require_finite(mat: np.ndarray) -> None:
+    if not np.all(np.isfinite(mat.view(float) if mat.dtype == complex else mat)):
+        raise NonFinite("matrix has non-finite entries")
+
+
 def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value (deterministic SVD path)."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0.0
-    if not np.all(np.isfinite(mat.view(float) if mat.dtype == complex else mat)):
-        raise NonFinite("matrix has non-finite entries")
+    _require_finite(mat)
     return float(np.linalg.norm(mat, 2))
 
 
@@ -100,8 +108,7 @@ def orbit_norm_estimate(
     skip = np.zeros((len(sizes), len(points)), dtype=bool)
     if _skip_pays(len(points), band, sizes):
         bands = np.stack([orbit_bands(sys, x, el, n_max) for x in points])
-        if not np.all(np.isfinite(bands.view(float))):
-            raise NonFinite("matrix has non-finite entries")
+        _require_finite(bands)
         skip = _skip_mask(bands, sizes)
     else:
         bands = (orbit_bands(sys, x, el, n_max) for x in points)
@@ -132,35 +139,69 @@ def orbit_norm_estimate(
 
 
 # ---------------------------------------------------------------------------
-# skip certificate for the orbit ladder
+# skip certificates for the orbit ladder and the periodic scan
 #
-# A lane that passes _certify_below has positive pivots for the banded LDL^H
-# of A = T^2 (1 - delta) I - H, with H = M M^H formed in floating point.
-# Forming H (inner products of at most band+1 terms, each entry bounded by
-# row norms of M) and factoring A (Higham, Accuracy and Stability of
-# Numerical Algorithms, Thm 10.3, whose Cauchy-Schwarz step bounds each
-# entry by the diagonal of A, at most T^2) each perturb at most 2*band+1
-# entries per row by gamma_{band+2} T^2, gamma_m = m u / (1 - m u),
-# u = 2^-53.  With a factor 4 for complex arithmetic the two together have
-# norm below 8 (2 band + 1)(band + 2) u T^2, which is at most delta/2 for
-# band <= _SKIP_BAND_LIMIT.  A pass thus proves ||M_n|| < T (1 - delta/4),
-# and that relative gap is far above the rounding of the Rayleigh floor and
-# of LAPACK's largest singular value (a small multiple of n u).
+# A lane that passes _certify_below has positive pivots for the LDL^H of
+# A = T^2 (1 - delta) I - H, with H = M M^H formed in floating point.
+#
+# The orbit ladder (the chain, border 0).  Forming H (inner products of at
+# most band+1 terms, each entry bounded by row norms of M) and factoring A
+# (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, whose
+# Cauchy-Schwarz step bounds each entry by the diagonal of A, at most T^2)
+# each perturb at most 2*band+1 entries per row by gamma_{band+2} T^2,
+# gamma_m = m u / (1 - m u), u = 2^-53.  With a factor 4 for complex
+# arithmetic the two together have norm below 8 (2 band + 1)(band + 2) u T^2,
+# which is at most delta/2 for band <= _SKIP_BAND_LIMIT.  A pass thus proves
+# ||M_n|| < T (1 - delta/4), and that relative gap is far above the rounding
+# of the Rayleigh floor and of LAPACK's largest singular value (a small
+# multiple of n u).
+#
+# The periodic scan (the p-cycle, border b = band, 2b + 1 < p).  H is
+# cyclic banded, and the rows swept as a band couple to the last b rows,
+# which the factorization carries whole.  Forming H still perturbs 2b+1
+# entries per row by gamma_{b+2} T^2, and so do the band-band updates.  A
+# band-border entry sums at most b+1 terms, but its row runs the length of
+# the band: the p x b block of those errors has Frobenius norm at most
+# gamma_{b+2} sqrt(b p) T^2 (Cauchy-Schwarz on each entry).  A border-border
+# entry sums up to p terms, so the b x b corner moves by b gamma_{p+2} T^2.
+# With b < p/2 the sum is below (2 (2b+1) + sqrt(b p) + b) gamma_{p+2} T^2
+# < 4 p gamma_{p+2} T^2, and with the factor 4 for complex arithmetic below
+# 16 p (p + 2) u T^2 (1 + o(1)): _cycle_slack(p) = 64 p (p + 2) u is twice
+# that with room to spare.  The certificate reads the very cells the SVD
+# would, so a pass proves the cell's norm below T (1 - delta/4), a relative
+# gap far above the rounding of LAPACK's largest singular value, and the
+# computed value it would add lies strictly below the trace rows it covers.
+# _CYCLE_SKIP_LIMIT keeps that slack below 2e-6.
+#
 # Floors below _SKIP_FLOOR_MIN certify nothing, so no rounding is subnormal.
 #
-# The certificate costs about len(sizes) * (n_max + w) * w^2 operations and
-# holds a len(sizes) * w^2 window per point, w = band + 1; the dense ladder
-# costs sum(n^3) per point.  Requiring len(sizes) * w * _SKIP_WIDTH_RATIO <=
-# n_max keeps the window below the point's own bands / _SKIP_WIDTH_RATIO and
-# the work below sum(n^3) / 8.  With 93 random points on one BLAS thread
-# (n_max 16..256), the certificate took 8-52% of the time of all the ladder
-# SVDs at that edge, and up to 2.2 times as long at widths beyond it.
+# The ladder certificate costs about len(sizes) * (n_max + w) * w^2
+# operations and holds a len(sizes) * w^2 window per point, w = band + 1; the
+# dense ladder costs sum(n^3) per point.  Requiring len(sizes) * w *
+# _SKIP_WIDTH_RATIO <= n_max keeps the window below the point's own bands /
+# _SKIP_WIDTH_RATIO and the work below sum(n^3) / 8.  With 93 random points on
+# one BLAS thread (n_max 16..256), the certificate took 8-52% of the time of
+# all the ladder SVDs at that edge, and up to 2.2 times as long at widths
+# beyond it.  The cycle certificate costs m p (2b + 1)^2 against m p^3 for
+# the m SVDs of a sample, so it runs on every sample longer than
+# _CYCLE_SKIP_MIN (and than 2b + 1, below which the cycle wraps onto itself).
+#
+# The kept cells go to the SVD in stacks of at most _SVD_CHUNK entries (1 MB),
+# which the allocator recycles; whole-period stacks of up to 7 MB, each in
+# fresh pages, raised the peak RSS of the circle-norm benchmark by 4 MB.
 
 _SKIP_BAND_LIMIT = 512
 _SKIP_SLACK = 16 * (2 * _SKIP_BAND_LIMIT + 1) * (_SKIP_BAND_LIMIT + 2) * 2.0**-53
 _SKIP_FLOOR_MIN = 2.0**-400
 _SKIP_WIDTH_RATIO = 4
 _POWER_STEPS = 8
+_CYCLE_SKIP_MIN = 8
+_CYCLE_SKIP_LIMIT = 2**14
+_SVD_CHUNK = 2**16
+
+
+def _cycle_slack(p: int) -> float:
+    return 64 * p * (p + 2) * 2.0**-53
 
 
 def _skip_pays(n_points: int, band: int, sizes: Sequence[int]) -> bool:
@@ -176,15 +217,33 @@ def _skip_pays(n_points: int, band: int, sizes: Sequence[int]) -> bool:
     )
 
 
-def _skip_mask(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """(len(sizes), P) mask of the ladder cells the certificate clears.
+def _cycle_skip_pays(period: int, band: int) -> bool:
+    """Whether a periodic sample's cells go through the skip certificate.
 
-    Its own function so that the rescaled copy is freed before the SVDs run.
+    Short cycles are SVD'd whole (they set the floors, and their SVDs are
+    cheap); a cycle of at most 2 band + 1 points wraps onto itself, so its
+    H = P P^H has no band structure to factor.
+    """
+    return max(_CYCLE_SKIP_MIN, 2 * band + 1) < period <= _CYCLE_SKIP_LIMIT
+
+
+def _skip_mask(
+    bands: np.ndarray, sizes: Sequence[int], floor: np.ndarray | None = None, border: int = 0
+) -> np.ndarray:
+    """Mask of the lanes the certificate clears, as ``_certify_below``.
+
+    ``floor`` gives one threshold per stacked matrix (the periodic cells);
+    without it, the ladder's Rayleigh floors give one per size.  Its own
+    function so that the rescaled copy is freed before the SVDs run.
     """
     # an exact power-of-two rescale keeps the squares below overflow
     e = np.frexp(np.max(np.abs(bands)))[1]
     unit = np.ldexp(bands.view(float), -e).view(complex)
-    return _certify_below(unit, _rayleigh_floor(unit, sizes), sizes)
+    if floor is None:
+        thr = _rayleigh_floor(unit, sizes)
+    else:  # the unit cells have norm at most band + 1, far below 2^64
+        thr = np.minimum(np.ldexp(floor, -e), 2.0**64)
+    return _certify_below(unit, thr, sizes, border)
 
 
 def _band_mul(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -235,49 +294,91 @@ def _rayleigh_floor(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return floor
 
 
-def _certify_below(bands: np.ndarray, thr: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """(len(sizes), P) mask: True where ||M_n(p)|| < thr[s] is certified, n = sizes[s].
+def _certify_below(
+    bands: np.ndarray, thr: np.ndarray, sizes: Sequence[int], border: int = 0
+) -> np.ndarray:
+    """(len(sizes), P) mask: True where ||M_n(p)|| < T is certified, n = sizes[s].
 
-    ``bands`` (P, band+1, N) stacks the lower bands V[k, c] = M[c+k, c] of
-    each point's N x N matrix M.  M is lower triangular, so M_n M_n^H is the
-    leading n-block of H = M M^H, a Hermitian matrix of bandwidth ``band``.
-    A banded LDL^H of T^2 (1 - delta) I - H with T = thr[s] runs in lockstep
-    over all lanes (s, p) and certifies a lane when its first n pivots are
-    positive.  ``sizes`` is ascending.  The factorization is right-looking on
-    a (band+1)-square window of the Schur complement, seeded with identity
-    rows ahead of column 0.
+    ``bands`` (P, band+1, N) stacks the bands V[k, c] = M[(c+k) mod N, c] of
+    each lane's N x N matrix M.  ``thr`` holds T per size, or for a single
+    size per lane.  With ``border`` 0, M is the lower triangular chain (V
+    zero where c+k >= N), so M_n M_n^H is the leading n-block of H = M M^H, a
+    Hermitian matrix of bandwidth ``band``, and ``sizes`` is an ascending
+    ladder.  With ``border`` = band, M is the p-cycle, N = p > 2 band + 1
+    and sizes = [N]: H is cyclic banded, its first N - border rows form a
+    band, and they couple to the last ``border`` rows only.
+
+    An LDL^H of T^2 (1 - delta) I - H runs in lockstep over all lanes and
+    certifies a lane when all its pivots are positive.  It is right-looking
+    on a Hermitian window of w = band+1 slots for the band rows in flight
+    (row r in slot r mod w) and ``border`` slots for the last rows, which
+    stay to the end and are factored last.
     """
     p, w, n = bands.shape
-    b = w - 1
+    nb = n - border  # rows swept as a band
     conj = bands.conj()
-    # rows[:, r, q] = -H[r, r-b+q], the row entering the window after column r-w
-    rows = np.zeros((p, n + w, w), dtype=complex)
-    for off in range(w):
-        for s in range(min(w - off, n - off)):
-            m = n - off - s
-            rows[:, off + s : n, b - off] -= bands[:, off + s, :m] * conj[:, s, :m]
-    thr = np.asarray(thr, dtype=float)
-    shift = np.where(thr > _SKIP_FLOOR_MIN, thr**2 * (1.0 - _SKIP_SLACK), 0.0)
+    thr = np.asarray(thr, dtype=float).reshape(len(sizes), -1)
+    slack = _cycle_slack(n) if border else _SKIP_SLACK
+    shift = np.where(thr > _SKIP_FLOOR_MIN, thr**2 * (1.0 - slack), 0.0)
+    shift = np.broadcast_to(shift, (len(sizes), p))
     ok = np.ones((len(sizes), p), dtype=bool)
-    win = np.zeros((len(sizes), p, w, w), dtype=complex)
-    win[:, :] = np.eye(w)
-    lo = 0
-    for t in range(sizes[-1] + w):
-        while sizes[lo] <= t - w:  # lanes past their size are done
-            lo += 1
-        live = win[lo:]
-        piv = live[:, :, 0, 0].real
+    # enter[r, :, 0]: row r of -H in window slots.  A partner before row 0
+    # wraps to border row n + r - d, in slot w + border + r - d; the chain has
+    # no such partner, and its zero lands in a band slot that is still empty.
+    # win[:, :, s, q]: the window of lane (s, q), lanes last for speed, which
+    # starts with the border rows' own block.
+    rows = np.arange(nb)
+    width = w + border
+    enter = np.zeros((nb, width, 1, p), dtype=complex)
+    win = np.zeros((width, width, len(sizes), p), dtype=complex)
+    for d in range(w):
+        # a[r] = -H[r, (r - d) mod n], from the terms k = d..band at column r - k
+        a = np.zeros((n, p), dtype=complex)
+        for k in range(d, min(w, n)):
+            term = (bands[:, k] * conj[:, k - d]).T
+            a[k:] -= term[: n - k]
+            if border:
+                a[:k] -= term[n - k :]
+        slots = np.where(rows >= d, (rows - d) % w, w + border + rows - d)
+        enter[rows, slots, 0] = a[:nb]
+        for i in range(border):  # border row nb + i against row nb + i - d
+            if d > i:
+                enter[nb + i - d, w + i, 0] = a[nb + i].conj()
+            elif d:
+                win[w + i, w + i - d] = a[nb + i]
+                win[w + i - d, w + i] = a[nb + i].conj()
+            else:
+                win[w + i, w + i] = shift + a[nb + i]
+
+    buf = np.empty_like(win)
+
+    def eliminate(lo: int, j: int) -> None:
+        live = win[:, :, lo:]
+        piv = live[j, j].real
         good = piv > 0  # never `not piv <= 0`: a NaN pivot must fail
         ok[lo:] &= good
         # a failed lane drops its L column and resets its pivot, so it keeps
         # factoring bounded numbers instead of overflowing
-        col = np.where(good[..., None], live[:, :, 1:, 0], 0.0)
+        col = np.where(good, live[:, j], 0.0)
         inv = 1.0 / np.where(good, piv, 1.0)
-        live[:, :, :b, :b] = live[:, :, 1:, 1:] - col[..., :, None] * (
-            col.conj() * inv[..., None]
-        )[..., None, :]
-        live[:, :, b, :] = rows[:, t]
-        live[:, :, b, b] += shift[lo:, None]
+        upd = buf[:, :, lo:]
+        np.multiply(col[:, None], (col.conj() * inv)[None, :], out=upd)
+        live -= upd
+
+    lo = 0
+    for t in range(nb + w):
+        while sizes[lo] <= t - w:  # lanes past their size are done
+            lo += 1
+        j = t % w
+        if t >= w:
+            eliminate(lo, j)  # row t - w leaves slot j, row t enters it
+        if t < nb:  # past the band the slot stays empty
+            live = win[:, :, lo:]
+            live[j] = enter[t]
+            live[:, j] = enter[t].conj()
+            live[j, j] += shift[lo:]
+    for i in range(border):
+        eliminate(lo, w + i)
     return ok
 
 
@@ -293,41 +394,83 @@ def periodic_norm_estimate(
     unity, is U M(lambda) U^-1 with U = diag(zeta^i): every entry of power k
     sits at ((c+k) mod p, c) and picks up zeta^k either way.  So the norm
     depends only on mu = lambda^p, and on the grid of G = grid_size angles
-    angle j and angle j + m agree, m = G / gcd(p, G).  Only the first m grid
-    scalars are assembled, in one stack reduced by batched SVD, and angle j
-    reads the value at j mod m.  The norm as a function of the angle is
+    angle j and angle j + m agree, m = G / gcd(p, G): cell j < m stands for
+    the angles j, j + m, ...  The norm as a function of the angle is
     Lipschitz with constant sum |n| * sup|f_n|, so the grid maximum plus
     L*pi/grid_size certifies an upper bound for the sampled family, capped by
     the l1 bound.
+
+    The samples are scanned in ascending period, those of one period
+    together, and a cell's SVD runs only where it could raise a trace row.
+    Short samples (``_cycle_skip_pays``) are SVD'd whole.  For a longer one,
+    cell j's floor is the least trace row over its angles that the shorter
+    samples set, and a cyclic banded LDL^H (``_certify_below`` with a
+    border) skips every cell it proves strictly below its floor, with the
+    slack ``_cycle_slack(p)``.  A skipped cell's computed norm could move no
+    trace row and could not be the maximum, so the bracket, the traces and
+    the witness (the first strict maximum in sample order, picked after the
+    scan) are exactly those of SVDing every cell.
     """
     require_semicrossed(el)
     if not periodic_points:
         raise ValueError("need at least one periodic sample")
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    lams = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    lip = sum(abs(k) * ext_sup_norm(f).upper for k, f in el.coeffs)
-    per_lambda = np.zeros(grid_size)
-    best = 0.0
-    witness = ""
+    periods = []
     for y in periodic_points:
         cls = classify(sys, y)
         if not cls.is_periodic:
             raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
-        if not el.coeffs:  # the zero element: every matrix is 0
-            continue
-        # stack sum_k lam^k * C^k D_k over the m distinct mu in one shot
-        m = grid_size // math.gcd(cls.period, grid_size)
-        bands = _cycle(_coeff_orbits(sys, el.coeffs, y, cls.period), cls.period)
-        powers = np.stack([lams[:m] ** k for k in bands], axis=1)  # (m, nbands)
-        mats = np.einsum("lk,kij->lij", powers, np.stack(list(bands.values())))
-        if not np.all(np.isfinite(mats.view(float))):
-            raise NonFinite("matrix has non-finite entries")
-        svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        per_lambda = np.maximum(per_lambda, np.tile(svals, grid_size // m))
-        j = int(np.argmax(svals))
-        if svals[j] > best:
-            best = float(svals[j])
+        periods.append(cls.period)
+    lams = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    lip = sum(abs(k) * ext_sup_norm(f).upper for k, f in el.coeffs)
+    per_lambda = np.zeros(grid_size)
+    svals = [np.zeros(0)] * len(periods)
+    band = el.max_power
+    ks = [k for k, _ in el.coeffs]
+    bases = [f.base for _, f in el.coeffs]
+    # the zero element scans nothing: every matrix is 0
+    order = sorted(range(len(periods)), key=periods.__getitem__) if ks else []
+    for p, group in itertools.groupby(order, key=periods.__getitem__):
+        group = list(group)
+        m = grid_size // math.gcd(p, grid_size)
+        # cells[g m + j, :, c]: lam_j^k f_k(y_c) on sample g, at ((c+k) mod p, c)
+        powers = np.stack([lams[:m] ** k for k in ks], axis=1)  # (m, nbands)
+        cells = np.concatenate(
+            [
+                np.einsum("lk,kc->lkc", powers, _orbit_values(sys, bases, periodic_points[i], p))
+                for i in group
+            ]
+        )
+        keep = np.ones(len(cells), dtype=bool)
+        if _cycle_skip_pays(p, band):
+            _require_finite(cells)  # raise before any cell is certified
+            bands = np.zeros((len(cells), band + 1, p), dtype=complex)
+            bands[:, ks] = cells
+            floor = np.tile(per_lambda.reshape(-1, m).min(axis=0), len(group))
+            keep = ~_skip_mask(bands, [p], floor, band)[0]
+        s = np.zeros(len(cells))
+        cols = np.arange(p)
+        kept = np.flatnonzero(keep)
+        step = max(1, _SVD_CHUNK // (p * p))
+        for c in range(0, len(kept), step):  # in chunks, so that no stack is large
+            at = kept[c : c + step]
+            # summed in coefficient order from 0, as an einsum over the placements
+            mats = np.zeros((len(at), p, p), dtype=complex)
+            with np.errstate(over="ignore"):  # bands sharing entries (p <= band) may overflow
+                for b, k in enumerate(ks):
+                    mats[:, (cols + k) % p, cols] += cells[at, b]
+            _require_finite(mats)
+            s[at] = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        for g, i in enumerate(group):
+            svals[i] = s[g * m : (g + 1) * m]
+            per_lambda = np.maximum(per_lambda, np.tile(svals[i], grid_size // m))
+    best = 0.0
+    witness = ""
+    for y, s in zip(periodic_points, svals):
+        if s.size and s.max() > best:
+            j = int(np.argmax(s))
+            best = float(s[j])
             witness = f"periodic y={_point_label(y)} angle={j}/{grid_size}"
     certified = best + lip * math.pi / grid_size
     upper = min(certified, l1_upper_bound(el))

@@ -434,6 +434,23 @@ def ref_backward_matrix(sys, orbit_pt, g, n: int) -> np.ndarray:
     return out
 
 
+def ref_periodic_cells(sys, el, y, p: int, lams) -> np.ndarray:
+    """sum_k lam^k * C^k D_k for each lam in lams, a (len(lams), p, p) stack
+    built from powers of the cyclic permutation matrix C."""
+    from semicrossed.functions import evaluate_base
+    from semicrossed.systems import forward_orbit
+
+    orbit = forward_orbit(sys, y, p)
+    cyc = _ref_cyclic_shift(p)
+    bands = []
+    for k, f in el.coeffs:
+        ck = np.linalg.matrix_power(cyc, k)
+        dk = np.diag([evaluate_base(sys, f.base, pt) for pt in orbit])
+        bands.append((k, ck @ dk))
+    powers = np.stack([lams ** k for k, _ in bands], axis=1)  # (L, nbands)
+    return np.einsum("lk,kij->lij", powers, np.stack([m for _, m in bands]))
+
+
 def ref_periodic_norm_estimate(sys, el, periodic_points, grid_size: int = 256):
     """``periodic_norm_estimate`` with its band stack built from powers of
     the cyclic permutation matrix."""
@@ -441,9 +458,9 @@ def ref_periodic_norm_estimate(sys, el, periodic_points, grid_size: int = 256):
 
     from semicrossed.elements import l1_upper_bound, require_semicrossed
     from semicrossed.errors import NotPeriodic
-    from semicrossed.functions import NormBracket, evaluate_base, ext_sup_norm
+    from semicrossed.functions import NormBracket, ext_sup_norm
     from semicrossed.norms import NormEstimate, _point_label
-    from semicrossed.systems import classify, forward_orbit
+    from semicrossed.systems import classify
 
     require_semicrossed(el)
     if not periodic_points:
@@ -459,17 +476,8 @@ def ref_periodic_norm_estimate(sys, el, periodic_points, grid_size: int = 256):
         cls = classify(sys, y)
         if not cls.is_periodic:
             raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
-        p = cls.period
-        orbit = forward_orbit(sys, y, p)
-        cyc = _ref_cyclic_shift(p)
-        # stack sum_k lam^k * C^k D_k over the lambda grid in one shot
-        bands = []
-        for k, f in el.coeffs:
-            ck = np.linalg.matrix_power(cyc, k)
-            dk = np.diag([evaluate_base(sys, f.base, pt) for pt in orbit])
-            bands.append((k, ck @ dk))
-        powers = np.stack([lams ** k for k, _ in bands], axis=1)  # (L, nbands)
-        mats = np.einsum("lk,kij->lij", powers, np.stack([m for _, m in bands]))
+        # the whole lambda grid in one stack
+        mats = ref_periodic_cells(sys, el, y, cls.period, lams)
         svals = np.linalg.svd(mats, compute_uv=False)[:, 0]
         per_lambda = np.maximum(per_lambda, svals)
         j = int(np.argmax(svals))

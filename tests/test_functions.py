@@ -185,6 +185,7 @@ TRIG_BASES = [cosine(), _trig(1, [-3, 0, 2]), _trig(2, [-300, -17, 0, 299, 300])
         (2, Fraction(1, 2**61 - 1)),  # denominators above 2^53
         (3, Fraction(5, 3**40)),
         (2, Fraction(12345, 2**45 + 1)),  # int64-exact for |m| = 1, not for 300
+        (2, Fraction(1, 2**44 - 1)),  # period 44 < n; int64-exact for |m| <= 300, 301 q within 1.8x of 2^53
     ],
 )
 def test_orbit_values_circle(k, x):

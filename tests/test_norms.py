@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import semicrossed as sc
@@ -10,13 +10,18 @@ from helpers import (
     cylinder_element,
     dense_orbit_norm_estimate,
     power_iteration_norm,
+    ref_periodic_cells,
     ref_periodic_norm_estimate,
 )
 from semicrossed import functions, norms
 from semicrossed.norms import (
+    _CYCLE_SKIP_LIMIT,
+    _CYCLE_SKIP_MIN,
     _SKIP_BAND_LIMIT,
     _SKIP_SLACK,
     _certify_below,
+    _cycle_skip_pays,
+    _cycle_slack,
     _ladder,
     _skip_pays,
 )
@@ -179,21 +184,79 @@ def test_periodic_estimate_matches_permutation_powers(sys, el, periodic):
 
 
 @pytest.mark.parametrize(
-    "sys,count",
-    [(sc.CircleTimesK(2), 7_936), (sc.CircleTimesK(3), 11_072)],
+    "sys,count,full",
+    [(sc.CircleTimesK(2), 4_050, 7_936), (sc.CircleTimesK(3), 6_522, 11_072)],
     ids=["doubling", "tripling"],
 )
-def test_periodic_scan_svds_once_per_distinct_mu(sys, count, monkeypatch):
-    # sum over samples of 256 / gcd(p, 256) matrices, not 256 per sample
+def test_periodic_scan_svds_once_per_distinct_mu(sys, count, full, monkeypatch):
+    # at most 256 / gcd(p, 256) cells per sample (full), fewer where the skip
+    # certificate clears them, and every stacked matrix is one of those cells
     stacked = []
     svd = np.linalg.svd
     monkeypatch.setattr(
-        norms.np.linalg, "svd", lambda a, *args, **kw: stacked.append(len(a)) or svd(a, *args, **kw)
+        norms.np.linalg, "svd", lambda a, *args, **kw: stacked.append(a.copy()) or svd(a, *args, **kw)
     )
     _, per = sc.default_samples(sys)
-    sc.periodic_norm_estimate(sys, sc.random_semicrossed_element(sys, 11, max_power=3), per, 256)
-    assert len(stacked) == len(per)
-    assert sum(stacked) == count
+    el = sc.random_semicrossed_element(sys, 11, max_power=3)
+    sc.periodic_norm_estimate(sys, el, per, 256)
+    assert sum(map(len, stacked)) == count < full
+    lams = np.exp(2j * np.pi * np.arange(256) / 256)
+    cells = {}  # period -> (cells j < m of every sample of that period, their (sample, j))
+    for i, y in enumerate(per):
+        p = sc.classify(sys, y).period
+        m = 256 // np.gcd(p, 256)
+        mats, ids = cells.get(p, (np.zeros((0, p, p), dtype=complex), []))
+        mats = np.concatenate([mats, ref_periodic_cells(sys, el, y, p, lams[:m])])
+        cells[p] = (mats, ids + [(i, j) for j in range(m)])
+    assert sum(len(ids) for _, ids in cells.values()) == full
+    seen = set()
+    for stack in stacked:
+        mats, ids = cells[stack.shape[1]]
+        for a in stack:
+            gap = np.max(np.abs(mats - a), axis=(1, 2))
+            n = int(np.argmin(gap))
+            assert gap[n] <= 1e-13 * max(1.0, float(np.max(np.abs(a))))
+            assert ids[n] not in seen  # no cell twice
+            seen.add(ids[n])
+
+
+def _f300_power4(sys):
+    # like the benchmark's: three terms up to frequency 300 per power, l1 mass 1/(n+1)
+    rng = np.random.default_rng(300)
+    coeffs = {}
+    for n in range(5):
+        freqs = [300, *rng.choice(np.arange(-299, 300), size=2, replace=False).tolist()]
+        raw = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        raw *= 1.0 / ((n + 1) * np.sum(np.abs(raw)))
+        coeffs[n] = sc.ext(1, sc.TrigPoly.from_coeffs(dict(zip(freqs, raw.tolist()))))
+    return sc.element(sys, coeffs)
+
+
+def _certifies_nothing(bands, thr, sizes, border=0):
+    return np.zeros((len(sizes), len(bands)), dtype=bool)
+
+
+@pytest.mark.parametrize(
+    "sys,el,periodic",
+    _periodic_identity_cases()
+    + [pytest.param(sc.CircleTimesK(2), _f300_power4(sc.CircleTimesK(2)), None, id="f300-power4")],
+)
+def test_periodic_skip_matches_full_scan(sys, el, periodic, monkeypatch):
+    if periodic is None:
+        _, periodic = sc.default_samples(sys)
+    cells = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        norms.np.linalg, "svd", lambda a, *args, **kw: cells.append(len(a)) or svd(a, *args, **kw)
+    )
+    new = sc.periodic_norm_estimate(sys, el, periodic)
+    skipped = sum(cells)
+    cells.clear()
+    monkeypatch.setattr(norms, "_certify_below", _certifies_nothing)
+    full = sc.periodic_norm_estimate(sys, el, periodic)
+    assert (new.bracket, new.traces, new.witness) == (full.bracket, full.traces, full.witness)
+    if isinstance(sys, sc.CircleTimesK) and len(periodic) > 1:
+        assert skipped < sum(cells)  # the certificate did clear cells
 
 
 def _period_cases():
@@ -228,6 +291,27 @@ def test_periodic_estimate_non_finite_stack(doubling):
     el = sc.element(doubling, {0: huge, 1: huge})  # 1e308 + 1e308 at the fixed point
     with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
         sc.periodic_norm_estimate(doubling, el, [sc.rational(0, 1)], 8)
+
+
+@pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(np.nan, 1.0)], ids=["inf", "nan"])
+def test_periodic_estimate_non_finite_long_cycle(doubling, bad, monkeypatch):
+    # a non-finite value on the period-60 orbit of 1/61, which takes the
+    # certificate path; the period-2 sample scanned before it is finite
+    values = norms._orbit_values
+
+    def overflowing(sys, bases, x, n):
+        out = values(sys, bases, x, n)
+        if n == 60:
+            out[-1, 17] = bad
+        return out
+
+    calls = []
+    monkeypatch.setattr(norms, "_orbit_values", overflowing)
+    monkeypatch.setattr(norms, "_certify_below", lambda *a: calls.append(a))
+    el = sc.random_semicrossed_element(doubling, 11, max_power=3)
+    with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
+        sc.periodic_norm_estimate(doubling, el, [sc.rational(1, 61), sc.rational(1, 3)])
+    assert calls == []  # raised before any cell is certified
 
 
 def test_bracket_rejects_non_finite_ends():
@@ -336,6 +420,54 @@ def test_skip_certificate_rejects_nan(seed, n, band, data):
     bands[0, k, data.draw(st.integers(0, n - k - 1))] = np.nan
     ok = _certify_below(bands, np.array([1e3, 1e6]), [n, n])
     assert not ok.any()
+
+
+def test_cycle_skip_gate():
+    assert not _cycle_skip_pays(_CYCLE_SKIP_MIN, 0)  # short cycles set the floors
+    assert _cycle_skip_pays(_CYCLE_SKIP_MIN + 1, 0)
+    assert _cycle_skip_pays(10, 4)
+    assert not _cycle_skip_pays(9, 4)  # p <= 2 band + 1: the cycle wraps onto itself
+    assert not _cycle_skip_pays(200, 100)
+    assert _cycle_skip_pays(_CYCLE_SKIP_LIMIT, 4)
+    assert not _cycle_skip_pays(_CYCLE_SKIP_LIMIT + 1, 4)  # beyond the slack bound
+    assert _cycle_slack(_CYCLE_SKIP_LIMIT) < 2e-6
+    for sys in [sc.golden_mean_shift(), SFT3, sc.ShiftOfFiniteType(((1, 1), (1, 1)))]:
+        # shift samples keep the whole scan
+        assert not any(_cycle_skip_pays(sc.classify(sys, y).period, 0) for y in sc.default_samples(sys)[1])
+
+
+def _cyclic_banded(seed: int, p: int, band: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lanes`` copies of random p-cycle bands V[k, c] = P[(c+k) mod p, c], and P."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(band + 1, p)) + 1j * rng.normal(size=(band + 1, p))
+    dense = np.zeros((p, p), dtype=complex)
+    for k in range(band + 1):
+        dense[(np.arange(p) + k) % p, np.arange(p)] = v[k]
+    return np.repeat(v[None], lanes, axis=0), dense
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 64), band=st.integers(0, 4))
+def test_cycle_skip_certificate_is_sound(seed, p, band):
+    assume(p > 2 * band + 1)
+    rel = np.array([1 - 1e-12, 1.0, 1 + _cycle_slack(p) / 8, 1.01])
+    bands, dense = _cyclic_banded(seed, p, band, len(rel))
+    norm = float(np.linalg.norm(dense, 2))
+    thr = norm * rel  # one threshold per lane
+    ok = _certify_below(bands, thr, [p], band)[0]
+    for t, passed in zip(thr, ok):
+        if passed:
+            assert norm < t
+    assert ok[-1]  # a 1% margin is far above the slack
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 64), band=st.integers(0, 4), data=st.data())
+def test_cycle_skip_certificate_rejects_nan(seed, p, band, data):
+    assume(p > 2 * band + 1)
+    bands, _ = _cyclic_banded(seed, p, band, 2)
+    bands[:, data.draw(st.integers(0, band)), data.draw(st.integers(0, p - 1))] = np.nan
+    assert not _certify_below(bands, np.array([1e3, 1e6]), [p], band).any()
 
 
 def test_periodic_estimate_one_plus_u(doubling):
