@@ -7,11 +7,12 @@ control corpus sizes but the tolerances are fixed.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -282,29 +283,34 @@ def _named_elements(sys: CircleTimesK, seed: int) -> list[tuple[str, Element]]:
     ]
 
 
-def _oracle_orbit_norm(sys, el: Element, x, n: int) -> float:
-    # independent assembly + eigenvalue route (M^H M), not the svd path
-    orbit = forward_orbit(sys, x, n)
-    m = np.zeros((n, n), dtype=complex)
+def _oracle_values(sys, el: Element, walk, trim: bool):
+    """Each coefficient's values along the walk, by scalar evaluation; an
+    open orbit of n points reads the first n - k of them at power k."""
+    n = len(walk)
+    out = []
     for k, f in el.coeffs:
-        for i in range(n - k):
-            m[i + k, i] = evaluate_base(sys, f.base, orbit[i])
+        pts = walk[: n - k] if trim else walk
+        out.append((k, np.array([evaluate_base(sys, f.base, pt) for pt in pts], dtype=complex)))
+    return out
+
+
+def _oracle_orbit_norm(vals, n: int) -> float:
+    # independent assembly + eigenvalue route (M^H M), not the svd path
+    m = np.zeros((n, n), dtype=complex)
+    for k, v in vals:
+        m[np.arange(k, n), np.arange(n - k)] = v
     h = m.conj().T @ m
     top = float(np.linalg.eigvalsh(h)[-1])
     return math.sqrt(max(top, 0.0))
 
 
-def _oracle_periodic_scan(sys, el: Element, y, grid: int, refine: int = 100):
+def _oracle_periodic_scan(vals, p: int, grid: int, refine: int = 100):
     """Independent lambda scan: coarse grid plus a refined window around the
     coarse argmax, singular values via the Gram eigenvalue route."""
-    cls = classify(sys, y)
-    p = cls.period
-    orbit = forward_orbit(sys, y, p)
     bands = []
-    for k, f in el.coeffs:
+    for k, v in vals:
         ck = np.zeros((p, p), dtype=complex)
-        for i, pt in enumerate(orbit):  # U^k f_k moves e_i to e_{i+k mod p}
-            ck[(i + k) % p, i] = evaluate_base(sys, f.base, pt)
+        ck[(np.arange(p) + k) % p, np.arange(p)] = v  # U^k f_k moves e_i to e_{i+k mod p}
         bands.append((k, ck))
     stack = np.stack([m for _, m in bands])
     ks = np.array([k for k, _ in bands])
@@ -325,12 +331,33 @@ def _oracle_periodic_scan(sys, el: Element, y, grid: int, refine: int = 100):
     return max(float(coarse.max()), float(fine.max()))
 
 
-def _norm_oracle(sys, el: Element, points, periodic_points, grid: int) -> float:
-    best = 0.0
-    for x in points:
-        best = max(best, _oracle_orbit_norm(sys, el, x, 512))
-    for y in periodic_points:
-        best = max(best, _oracle_periodic_scan(sys, el, y, grid))
+_ORACLE_N = 512  # size of the oracle's orbit truncations
+
+
+def _norm_oracles(sys, els, points, periodic_points, grid: int) -> list[float]:
+    """Oracle norm of each element: the largest over the _ORACLE_N-square
+    orbit truncations at ``points`` and the lambda scans at ``periodic_points``.
+
+    Each orbit and cycle is walked once, for all the elements, and dropped
+    before the next.  Walks along which an element's coefficients read the
+    same values build the same matrices, so each distinct (kind, length,
+    powers, values) is computed once, keyed by a SHA-256 digest of the
+    values: U and 1 + U take one eigvalsh for all their orbits.
+    """
+    memo: dict[tuple, float] = {}
+    best = [0.0] * len(els)
+    orbits = ((True, forward_orbit(sys, x, _ORACLE_N)) for x in points)
+    cycles = ((False, forward_orbit(sys, y, classify(sys, y).period)) for y in periodic_points)
+    for is_orbit, walk in chain(orbits, cycles):
+        for e, el in enumerate(els):
+            vals = _oracle_values(sys, el, walk, trim=is_orbit)
+            key = (is_orbit, len(walk)) + tuple((k, hashlib.sha256(v).digest()) for k, v in vals)
+            if key not in memo:
+                if is_orbit:
+                    memo[key] = _oracle_orbit_norm(vals, len(walk))
+                else:
+                    memo[key] = _oracle_periodic_scan(vals, len(walk), grid)
+            best[e] = max(best[e], memo[key])
     return best
 
 
@@ -339,12 +366,13 @@ def check_norm_families(budgets: Budgets | None = None) -> CheckReport:
     sys = corpus.doubling_map()
     points, periodic = corpus.default_samples(sys, b)
     oracle_points = sorted(points, key=point_key)[:24]
+    named = _named_elements(sys, b.seed)
+    oracles = _norm_oracles(sys, [el for _, el in named], oracle_points, periodic, b.grid_size)
     rows = []
-    for name, el in _named_elements(sys, b.seed):
+    for (name, el), oracle in zip(named, oracles):
         est = semicrossed_norm(sys, el, points, periodic, b.n_max, b.grid_size)
         lower, upper = est.bracket.lower, est.bracket.upper
         width = est.bracket.width
-        oracle = _norm_oracle(sys, el, oracle_points, periodic, b.grid_size)
         ok = width <= 5e-2 and lower - 1e-8 <= oracle <= upper + 1e-8
         detail = (
             f"bracket=[{lower:.6f},{upper:.6f}] width={width:.3e} "

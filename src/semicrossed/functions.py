@@ -90,11 +90,16 @@ class TrigPoly:
         return total
 
     def grid_values(self, n: int) -> np.ndarray:
-        """Values on the uniform grid j/n, via FFT binning (needs n > 2*max_freq)."""
+        """Values on the uniform grid j/n, via FFT binning (needs n > 2*max_freq).
+
+        Values beyond the float range come out non-finite, without a warning,
+        so that the bracket built from them raises ``NonFinite``.
+        """
         bins = np.zeros(n, dtype=complex)
         for k, c in self.coeffs:
             bins[k % n] += c
-        return np.fft.ifft(bins) * n
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.fft.ifft(bins) * n
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,20 @@ The norm of a semicrossed element is the larger of two suprema: orbit
 representations over all points (estimated from below by sampled truncations,
 bounded above by the coefficient l1 sum) and periodic-orbit representations
 over all periodic points and unit scalars (sampled on a lambda grid with a
-Lipschitz certificate).  Both scans skip, with proof, the SVDs that cannot
-move their result: a banded LDL^H (``_certify_below``) shows a truncation
-or a periodic cell below a floor the scan has already reached.  The
-comparison helpers measure, at finite size, the identities that make those
-families cofinal: the periodic-vector transfer, the bilateral-window versus
-orbit-supremum agreement, and the isometric embedding into the extension's
-crossed product.
+Lipschitz certificate).  Both scans SVD each distinct operator once: sample
+points whose coefficient values agree byte for byte give the same matrices,
+so only the first of them is assembled, certified and SVD'd.  Both also
+skip, with proof, the SVDs that cannot move their result: a banded LDL^H
+(``_certify_below``) shows a truncation or a periodic cell below a floor the
+scan has already reached.  The comparison helpers measure, at finite size,
+the identities that make those families cofinal: the periodic-vector
+transfer, the bilateral-window versus orbit-supremum agreement, and the
+isometric embedding into the extension's crossed product.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,6 +66,21 @@ class NormEstimate:
     witness: str
 
 
+def _distinct(lanes):
+    """The (label, array) lanes whose array repeats no earlier lane's bytes.
+
+    Lanes are keyed by a 256-bit BLAKE2b digest of their bytes, so lanes that
+    differ in any bit, the sign of a zero or a NaN payload included, stay
+    apart; only the digests are kept.
+    """
+    seen = set()
+    for label, a in lanes:
+        key = hashlib.blake2b(np.ascontiguousarray(a), digest_size=32).digest()
+        if key not in seen:
+            seen.add(key)
+            yield label, a
+
+
 def _ladder(n_max: int) -> list[int]:
     out = []
     n = 4
@@ -87,6 +105,11 @@ def orbit_norm_estimate(
 
     The lower end is the largest dense-SVD norm ``spectral_norm`` of an
     n x n truncation M_n(x) over the sample points x and the ladder sizes n.
+    A point whose bands equal an earlier point's byte for byte is dropped
+    before anything else runs: its truncations are the same matrices, and
+    the maxima per size and the witness (the first strict maximum in point
+    order) move only on a strict >, so it could change nothing.  An element
+    with constant coefficients (U, 1 + U) thus takes one point's ladder.
     A cell (x, n) whose SVD cannot move that maximum is skipped: for each n,
     power iteration on all points gives a floor T_n <= max_x ||M_n(x)||, and
     a banded LDL^H of T_n^2 (1 - delta) I - M_n M_n^H with only positive
@@ -95,8 +118,8 @@ def orbit_norm_estimate(
     and of the SVD, so a skipped cell's computed norm lies strictly below
     the computed maximum at its size: the bracket, traces and witness are
     exactly those of computing every cell.  The certificate runs only when
-    ``_skip_pays``: for a single point, or a band too wide for the ladder,
-    every cell gets its SVD, one point at a time.
+    ``_skip_pays``: for a single distinct point, or a band too wide for the
+    ladder, every cell gets its SVD, one point at a time.
     """
     require_semicrossed(el)
     if not points:
@@ -106,16 +129,18 @@ def orbit_norm_estimate(
         raise WindowTooSmall(f"n_max must be at least the band width {band + 1}")
     sizes = _ladder(n_max)
     skip = np.zeros((len(sizes), len(points)), dtype=bool)
-    if _skip_pays(len(points), band, sizes):
-        bands = np.stack([orbit_bands(sys, x, el, n_max) for x in points])
+    lanes = _distinct((x, orbit_bands(sys, x, el, n_max)) for x in points)
+    if _skip_pays(len(points), band, sizes):  # narrow bands: stack the distinct lanes
+        xs, bands = zip(*lanes)
+        bands = np.stack(bands)
         _require_finite(bands)
-        skip = _skip_mask(bands, sizes)
-    else:
-        bands = (orbit_bands(sys, x, el, n_max) for x in points)
+        if _skip_pays(len(xs), band, sizes):
+            skip = _skip_mask(bands, sizes)
+        lanes = zip(xs, bands)
     best = 0.0
     witness = ""
     by_size = {n: 0.0 for n in sizes}
-    for p, (x, vb) in enumerate(zip(points, bands)):
+    for p, (x, vb) in enumerate(lanes):
         for s, n in enumerate(sizes):
             if skip[s, p]:
                 continue
@@ -401,7 +426,11 @@ def periodic_norm_estimate(
     the l1 bound.
 
     The samples are scanned in ascending period, those of one period
-    together, and a cell's SVD runs only where it could raise a trace row.
+    together.  Samples of one period whose coefficient values along the
+    cycle agree byte for byte have the same cells, so only the first of them
+    is assembled, certified and SVD'd; the copies could set no trace row or
+    strict maximum that it does not.  A cell's SVD runs only where it could
+    raise a trace row.
     Short samples (``_cycle_skip_pays``) are SVD'd whole.  For a longer one,
     cell j's floor is the least trace row over its angles that the shorter
     samples set, and a cyclic banded LDL^H (``_certify_below`` with a
@@ -432,22 +461,19 @@ def periodic_norm_estimate(
     # the zero element scans nothing: every matrix is 0
     order = sorted(range(len(periods)), key=periods.__getitem__) if ks else []
     for p, group in itertools.groupby(order, key=periods.__getitem__):
-        group = list(group)
+        # a later copy keeps no singular values: it could set no strict maximum
+        samples = ((i, _orbit_values(sys, bases, periodic_points[i], p)) for i in group)
+        lanes = list(_distinct(samples))
         m = grid_size // math.gcd(p, grid_size)
-        # cells[g m + j, :, c]: lam_j^k f_k(y_c) on sample g, at ((c+k) mod p, c)
+        # cells[g m + j, :, c]: lam_j^k f_k(y_c) on lane g, at ((c+k) mod p, c)
         powers = np.stack([lams[:m] ** k for k in ks], axis=1)  # (m, nbands)
-        cells = np.concatenate(
-            [
-                np.einsum("lk,kc->lkc", powers, _orbit_values(sys, bases, periodic_points[i], p))
-                for i in group
-            ]
-        )
+        cells = np.concatenate([np.einsum("lk,kc->lkc", powers, v) for _, v in lanes])
         keep = np.ones(len(cells), dtype=bool)
         if _cycle_skip_pays(p, band):
             _require_finite(cells)  # raise before any cell is certified
             bands = np.zeros((len(cells), band + 1, p), dtype=complex)
             bands[:, ks] = cells
-            floor = np.tile(per_lambda.reshape(-1, m).min(axis=0), len(group))
+            floor = np.tile(per_lambda.reshape(-1, m).min(axis=0), len(lanes))
             keep = ~_skip_mask(bands, [p], floor, band)[0]
         s = np.zeros(len(cells))
         cols = np.arange(p)
@@ -462,7 +488,7 @@ def periodic_norm_estimate(
                     mats[:, (cols + k) % p, cols] += cells[at, b]
             _require_finite(mats)
             s[at] = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        for g, i in enumerate(group):
+        for g, (i, _) in enumerate(lanes):
             svals[i] = s[g * m : (g + 1) * m]
             per_lambda = np.maximum(per_lambda, np.tile(svals[i], grid_size // m))
     best = 0.0

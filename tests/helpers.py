@@ -498,6 +498,52 @@ def ref_periodic_norm_estimate(sys, el, periodic_points, grid_size: int = 256):
 
 
 # ---------------------------------------------------------------------------
+# the norm-families oracle as it stood before it walked each orbit once per
+# check and memoized its values: one walk, one evaluation per entry and one
+# eigvalsh per point, per element.  Kept as the reference it must equal.
+
+
+def ref_norm_oracle(sys, el, points, periodic_points, grid: int, n: int = 512) -> float:
+    import math
+
+    from semicrossed.functions import evaluate_base
+    from semicrossed.systems import classify, forward_orbit
+
+    best = 0.0
+    for x in points:
+        orbit = forward_orbit(sys, x, n)
+        m = np.zeros((n, n), dtype=complex)
+        for k, f in el.coeffs:
+            for i in range(n - k):
+                m[i + k, i] = evaluate_base(sys, f.base, orbit[i])
+        top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+        best = max(best, math.sqrt(max(top, 0.0)))
+    for y in periodic_points:
+        p = classify(sys, y).period
+        orbit = forward_orbit(sys, y, p)
+        bands = []
+        for k, f in el.coeffs:
+            ck = np.zeros((p, p), dtype=complex)
+            for i, pt in enumerate(orbit):
+                ck[(i + k) % p, i] = evaluate_base(sys, f.base, pt)
+            bands.append((k, ck))
+        stack = np.stack([m for _, m in bands])
+        ks = np.array([k for k, _ in bands])
+
+        def scan(angles):
+            lams = np.exp(2j * np.pi * angles)
+            mats = np.einsum("lk,kij->lij", lams[:, None] ** ks[None, :], stack)
+            grams = np.matmul(mats.conj().transpose(0, 2, 1), mats)
+            return np.sqrt(np.clip(np.linalg.eigvalsh(grams)[:, -1], 0.0, None))
+
+        coarse = scan(np.arange(grid) / grid)
+        j = int(np.argmax(coarse))
+        fine = scan((j + np.linspace(-1.0, 1.0, 201)) / grid)
+        best = max(best, float(coarse.max()), float(fine.max()))
+    return best
+
+
+# ---------------------------------------------------------------------------
 # invariant coordinate subspaces by exhaustive search
 
 

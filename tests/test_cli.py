@@ -286,6 +286,8 @@ def test_verify_small_budget_failure(capsys):
     lines = out.splitlines()
     assert lines[0] == "check\tcase\tstatus\tdetail"
     assert any("\tfail\t" in line for line in lines[1:])
+    # captured before the estimators and the oracle shared work across samples
+    assert out == (DATA / "verify_norm_families_g8_n16.tsv").read_text()
 
 
 def test_verify_strict_stops_early(capsys):

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -293,6 +294,16 @@ def test_periodic_estimate_non_finite_stack(doubling):
         sc.periodic_norm_estimate(doubling, el, [sc.rational(0, 1)], 8)
 
 
+def test_overflowing_trig_sup_raises_non_finite(doubling):
+    # the grid values overflow; under the suite's RuntimeWarning filter a
+    # warning would escape instead of the bracket's typed error
+    g = sc.TrigPoly.from_coeffs({0: 1e308, 1: 1e308})
+    with pytest.raises(sc.NonFinite, match="bracket endpoints must be finite"):
+        sc.sup_norm(g)
+    with pytest.raises(sc.NonFinite, match="bracket endpoints must be finite"):
+        sc.periodic_norm_estimate(doubling, sc.from_base(doubling, g), [sc.rational(1, 3)], 8)
+
+
 @pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(np.nan, 1.0)], ids=["inf", "nan"])
 def test_periodic_estimate_non_finite_long_cycle(doubling, bad, monkeypatch):
     # a non-finite value on the period-60 orbit of 1/61, which takes the
@@ -379,6 +390,150 @@ def test_orbit_estimate_non_finite_bands(doubling, n_max):
     huge = sc.from_base(doubling, sc.TrigPoly.from_coeffs({0: 1e308, 1: 1e308}))
     with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
         sc.orbit_norm_estimate(doubling, huge, [sc.rational(1, 3), sc.rational(0, 1)], n_max)
+
+
+# ---------------------------------------------------------------------------
+# samples whose coefficient values agree byte for byte share one lane
+
+
+def _unshared_periodic(sys, el, periodic, grid_size=256):
+    """The periodic scan of each sample alone, combined as the joint scan
+    combines them: every cell SVD'd (a lone sample has no floor to certify
+    against) and no sample sharing another's values."""
+    singles = [sc.periodic_norm_estimate(sys, el, [y], grid_size) for y in periodic]
+    first = max(range(len(singles)), key=lambda i: (singles[i].bracket.lower, -i))
+    rows = zip(*(s.traces for s in singles))
+    traces = tuple((row[0][0], max(v for _, v in row)) for row in rows)
+    top = singles[first]
+    return norms.NormEstimate(top.bracket, traces, top.witness)
+
+
+def _dedup_cases():
+    doubling = sc.CircleTimesK(2)
+    pts, per = sc.default_samples(doubling)
+    # two 3-cycles on which both tables read the same values
+    perm = sc.PermutationSystem((1, 2, 0, 4, 5, 3))
+    tab = sc.from_base(perm, sc.TabularFunction((1.0, -2.0j, 0.5) * 2))
+    tab = tab + sc.from_base(perm, sc.TabularFunction((0.25, 1.0, 3.0) * 2), power=1)
+    states = [sc.StatePoint(s) for s in range(6)]
+    random = sc.random_semicrossed_element(doubling, 11, max_power=3)
+    odd = [y for y in per if sc.classify(doubling, y).period % 2]
+    repeated = (pts[:9] + pts[2:6] + pts[:3], odd[:6] + odd[1:4] + odd[:2])
+    return [
+        pytest.param(doubling, sc.shift_element(doubling), pts, per, id="U"),
+        pytest.param(doubling, one_plus_u(doubling), pts, per, id="1+U"),
+        pytest.param(doubling, sc.shift_element(doubling, 200), pts, per, id="U^200"),
+        pytest.param(perm, tab, states, states, id="permutation-twin-cycles"),
+        pytest.param(doubling, random, *repeated, id="repeated-points"),
+    ]
+
+
+@pytest.mark.parametrize("sys,el,pts,per", _dedup_cases())
+def test_shared_lanes_leave_every_estimate_unchanged(sys, el, pts, per, monkeypatch):
+    def same(a, b):
+        return (a.bracket, a.traces, a.witness) == (b.bracket, b.traces, b.witness)
+
+    orbit_ref = dense_orbit_norm_estimate(sys, el, pts, 256)
+    assert same(sc.orbit_norm_estimate(sys, el, pts, 256), orbit_ref)
+    periodic_ref = _unshared_periodic(sys, el, per)
+    assert same(sc.periodic_norm_estimate(sys, el, per), periodic_ref)
+    if all(sc.classify(sys, y).period % 2 for y in per):
+        # every angle is its own mu: the cells are the reference stack's own
+        assert same(periodic_ref, ref_periodic_norm_estimate(sys, el, per))
+    both = sc.semicrossed_norm(sys, el, pts, per)
+    monkeypatch.setattr(norms, "orbit_norm_estimate", lambda *args: orbit_ref)
+    monkeypatch.setattr(norms, "periodic_norm_estimate", lambda *args: periodic_ref)
+    assert same(both, sc.semicrossed_norm(sys, el, pts, per))
+
+
+def test_constant_coefficients_take_one_lane(doubling, monkeypatch):
+    # 1 + U reads the same values at all 93 points and along every cycle of
+    # one period: one point's ladder, one sample's cells per period
+    calls = []
+    svd_norm = norms.spectral_norm
+    monkeypatch.setattr(norms, "spectral_norm", lambda m: calls.append(m.shape) or svd_norm(m))
+    pts, per = sc.default_samples(doubling)
+    el = one_plus_u(doubling)
+    sc.orbit_norm_estimate(doubling, el, pts, 256)
+    assert len(calls) == len(_ladder(256))
+    stacked = Counter()  # period -> matrices SVD'd
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kw):
+        stacked[a.shape[1]] += len(a)
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(norms.np.linalg, "svd", counted)
+    sc.periodic_norm_estimate(doubling, el, per, 256)
+    periods = {sc.classify(doubling, y).period for y in per}
+    assert set(stacked) <= periods
+    for p in periods:
+        m = 256 // np.gcd(p, 256)
+        if _cycle_skip_pays(p, el.max_power):
+            assert stacked.get(p, 0) <= m
+        else:
+            assert stacked[p] == m
+
+
+def _negated_zero(bands):
+    out = bands.copy()
+    at = np.flatnonzero(out.view(float) == 0.0)[0]
+    out.view(float).flat[at] = -0.0
+    return out
+
+
+def test_lanes_differing_in_a_zero_sign_stay_distinct(doubling, monkeypatch):
+    # every sample reads the values at x, with one zero negated off x itself
+    el = sc.from_base(doubling, cosine(), power=1)  # zeros below the band
+    x = sc.rational(1, 7)
+    bands, values = norms.orbit_bands, norms._orbit_values
+
+    def signed_bands(sys, y, e, n):
+        out = bands(sys, x, e, n)
+        return out if y == x else _negated_zero(out)
+
+    def signed_values(sys, bases, y, n):
+        out = values(sys, bases, x, n)
+        return out if y == x else _negated_zero(out)
+
+    monkeypatch.setattr(norms, "orbit_bands", signed_bands)
+    monkeypatch.setattr(norms, "_orbit_values", signed_values)
+    calls, stacked = [], []
+    svd_norm, svd = norms.spectral_norm, np.linalg.svd
+    monkeypatch.setattr(norms, "spectral_norm", lambda m: calls.append(m.shape) or svd_norm(m))
+    monkeypatch.setattr(
+        norms.np.linalg, "svd", lambda a, *args, **kw: stacked.append(len(a)) or svd(a, *args, **kw)
+    )
+    samples = [x, sc.rational(2, 7), x]
+    sc.orbit_norm_estimate(doubling, el, samples, 16)  # the dense ladder, point by point
+    assert len(calls) == 2 * len(_ladder(16))
+    sc.periodic_norm_estimate(doubling, el, samples, 16)
+    assert sum(stacked) == 2 * 16  # period 3, all 16 angles; the copy of x shares its cells
+
+
+def test_nan_lane_shared_by_twins_still_raises(doubling, monkeypatch):
+    el = one_plus_u(doubling)
+    bands = norms.orbit_bands
+
+    def poisoned(sys, y, e, n):
+        out = bands(sys, y, e, n)
+        out[0, 3] = complex(np.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(norms, "orbit_bands", poisoned)
+    pts, _ = sc.default_samples(doubling)
+    with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
+        sc.orbit_norm_estimate(doubling, el, pts, 256)
+    values = norms._orbit_values
+
+    def poisoned_values(sys, bases, y, n):
+        out = values(sys, bases, y, n)
+        out[0, 0] = complex(np.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(norms, "_orbit_values", poisoned_values)
+    with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
+        sc.periodic_norm_estimate(doubling, el, [sc.rational(1, 7), sc.rational(2, 7)], 16)
 
 
 def _lower_banded(seed: int, n: int, band: int) -> np.ndarray:
