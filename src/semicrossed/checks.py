@@ -8,7 +8,6 @@ control corpus sizes but the tolerances are fixed.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .elements import (
     shift_element,
     times_shift_power,
 )
+from .errors import NonFinite
 from .extension import (
     AlwaysMin,
     ExplicitTail,
@@ -294,17 +294,135 @@ def _oracle_values(sys, el: Element, walk, trim: bool):
     return out
 
 
-def _oracle_orbit_norm(vals, n: int) -> float:
-    # independent assembly + eigenvalue route (M^H M), not the svd path
-    m = np.zeros((n, n), dtype=complex)
-    for k, v in vals:
-        m[np.arange(k, n), np.arange(n - k)] = v
-    h = m.conj().T @ m
-    top = float(np.linalg.eigvalsh(h)[-1])
-    return math.sqrt(max(top, 0.0))
+# The orbit oracle's norms, by LDL^H pivot bisection
+#
+# An open orbit of n points with values v_k (v_k[i] = f_k at point i, zero
+# from n - k on) gives M = sum_k S^k diag(v_k), S the down shift, so
+# H = M^H M is a Hermitian band of width b = the largest power:
+# H[i, i + d] = sum_{k >= d} conj(v_k[i]) v_{k-d}[i + d].  sigma lies above
+# lambda_max(H) exactly when sigma I - H has an LDL^H with every pivot
+# positive, and its factor keeps the band, so one test costs O(n b^2).
+#
+# Forming H (at most b + 1 products per entry, each sum bounded by
+# Cauchy-Schwarz by lambda = ||M||^2) and factoring A = sigma I - H (Higham,
+# Accuracy and Stability of Numerical Algorithms, Thm 10.3, with entries of
+# |L| D |L^H| at most sigma) each perturb 2b + 1 entries per row by
+# gamma_{b+2} max(sigma, lambda).  With a factor 4 for complex numbers held
+# as real pairs, the test at sigma is exact for some H + E with
+# ||E|| <= eps max(sigma, lambda), eps = 8 (2b + 1)(b + 2) u, u = 2^-53: a
+# pass shows lambda < sigma (1 + eps), and a failure sigma < lambda (1 + eps)
+# (Thm 10.7: the factorization completes when the least eigenvalue of A
+# clears its backward error).  Multisection keeps a failing lo (or 0) below
+# a passing hi, from hi = (sum_k max_i |v_k[i]|)^2 (1 + _BISECT_HEADROOM),
+# above ||M||^2 by the triangle inequality and tested before the first
+# round, until hi - lo <= _BISECT_WIDTH hi.  hi is then ||M||^2 to within a
+# relative _BISECT_WIDTH + eps, and sqrt(hi) is ||M|| to within half that.
+#
+# The arithmetic is real and elementwise, one ufunc per operation, and a
+# lane's sigmas depend on its own [lo, hi] only, so a lane reads the same
+# bits alone or in any batch; zero bands padding a narrower lane add exact
+# (signed) zeros, which move no pivot.  This path shares no code with the
+# estimator's skip certificate, whose faults it exists to catch.
+
+_BISECT_POINTS = 15  # shifts tested per lane and round: 4 bits of sigma
+_BISECT_WIDTH = 2.0**-46
+_BISECT_HEADROOM = 2.0**-20
 
 
-def _oracle_periodic_scan(vals, p: int, grid: int, refine: int = 100):
+def _pivots_positive(hre: np.ndarray, him: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(lanes, shifts) mask: True where sigma I - H has only positive pivots.
+
+    ``hre`` and ``him`` (b + 1, lanes, b + n) hold the real and imaginary parts
+    of H[i, i + d] at column b + i, after b zero columns that stand for the
+    rows before row 0.  Row i meets only the previous b rows: it forms
+    w_r = L[i, i - r] D[i - r] from r = b down to 1, then its pivot D[i].
+    """
+    b = hre.shape[0] - 1
+    n = hre.shape[2] - b
+    ok = np.ones(sigma.shape, dtype=bool)
+    piv = [1.0] * b  # piv[r - 1] = D[i - r]
+    # low[r - 1][s - 1] = L[i - r, i - r - s] as (re, im), the offsets s < b
+    # the later rows read
+    low = [[(0.0, 0.0)] * (b - 1) for _ in range(b - 1)]
+    for i in range(n):
+        c = b + i
+        w = {}
+        for r in range(b, 0, -1):
+            # A[i, i - r] = -conj(H[i - r, i])
+            wr, wi = -hre[r, :, c - r, None], him[r, :, c - r, None]
+            for t in range(b, r, -1):  # - w_t conj(L[i - r, i - t])
+                lr, li = low[r - 1][t - r - 1]
+                tr, ti = w[t]
+                wr = wr - (tr * lr + ti * li)
+                wi = wi - (ti * lr - tr * li)
+            w[r] = wr, wi
+        d = sigma - hre[0, :, c, None]
+        for r in range(b, 0, -1):
+            wr, wi = w[r]
+            d = d - (wr * wr + wi * wi) / piv[r - 1]
+        good = d > 0  # never `not d <= 0`: a NaN pivot must fail
+        ok &= good
+        # a failed entry restarts from a unit pivot and a zero row, so it
+        # keeps factoring bounded numbers
+        row = [
+            (np.where(good, w[s][0] / piv[s - 1], 0.0), np.where(good, w[s][1] / piv[s - 1], 0.0))
+            for s in range(1, b)
+        ]
+        piv = [np.where(good, d, 1.0), *piv][:b]
+        low = [row, *low][: b - 1]
+    return ok
+
+
+def _oracle_orbit_norms(lanes, n: int) -> list[float]:
+    """||M|| of each open orbit lane of n points, given as its [(k, v_k)]
+    with v_k of length n - k, by one multisection over all the lanes."""
+    if not lanes:
+        return []
+    b = max((k for vals in lanes for k, _ in vals), default=0)
+    re = np.zeros((b + 1, len(lanes), n))
+    im = np.zeros_like(re)
+    for j, vals in enumerate(lanes):
+        for k, v in vals:
+            re[k, j, : n - k] = v.real
+            im[k, j, : n - k] = v.imag
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise NonFinite("oracle values are not finite")
+    # an exact power-of-two rescale puts every lane's entries below 1
+    e = np.frexp(np.maximum(np.abs(re), np.abs(im)).max(axis=(0, 2)))[1]
+    re = np.ldexp(re, -e[:, None])
+    im = np.ldexp(im, -e[:, None])
+    hre = np.zeros((b + 1, len(lanes), b + n))
+    him = np.zeros_like(hre)
+    for d in range(b + 1):
+        for k in range(d, b + 1):  # conj(v_k[i]) v_{k-d}[i + d]
+            ar, ai = re[k, :, : n - d], im[k, :, : n - d]
+            br, bi = re[k - d, :, d:], im[k - d, :, d:]
+            hre[d, :, b : b + n - d] += ar * br + ai * bi
+            him[d, :, b : b + n - d] += ar * bi - ai * br
+    top = np.sqrt(re * re + im * im).max(axis=2).sum(axis=0)
+    hi_end = top * top * (1.0 + _BISECT_HEADROOM)
+    lo_end = np.zeros_like(hi_end)
+    live = np.flatnonzero(hi_end > 0)  # an all-zero lane has norm 0
+    if not _pivots_positive(hre[:, live], him[:, live], hi_end[live, None]).all():
+        raise ArithmeticError("oracle start bound fails its own pivot test")
+    frac = np.arange(1, _BISECT_POINTS + 1) / (_BISECT_POINTS + 1)
+    while live.size:
+        lo, up = lo_end[live, None], hi_end[live, None]
+        grid = np.concatenate([lo, lo + (up - lo) * frac, up], axis=1)
+        ok = _pivots_positive(hre[:, live], him[:, live], grid[:, 1:-1])
+        # the first passing shift is the new hi, the one below it the new lo
+        first = np.where(ok.any(axis=1), ok.argmax(axis=1), _BISECT_POINTS)
+        rows = np.arange(live.size)
+        lo_end[live] = grid[rows, first]
+        hi_end[live] = grid[rows, first + 1]
+        live = live[hi_end[live] - lo_end[live] > _BISECT_WIDTH * hi_end[live]]
+    return np.ldexp(np.sqrt(hi_end), e).tolist()
+
+
+_ORACLE_REFINE = 100  # fine angles on each side of the coarse argmax
+
+
+def _oracle_periodic_scan(vals, p: int, grid: int):
     """Independent lambda scan: coarse grid plus a refined window around the
     coarse argmax, singular values via the Gram eigenvalue route."""
     bands = []
@@ -326,7 +444,7 @@ def _oracle_periodic_scan(vals, p: int, grid: int, refine: int = 100):
     coarse_angles = np.arange(grid) / grid
     coarse = scan(coarse_angles)
     j = int(np.argmax(coarse))
-    fine_angles = (j + np.linspace(-1.0, 1.0, 2 * refine + 1)) / grid
+    fine_angles = (j + np.linspace(-1.0, 1.0, 2 * _ORACLE_REFINE + 1)) / grid
     fine = scan(fine_angles)
     return max(float(coarse.max()), float(fine.max()))
 
@@ -342,23 +460,28 @@ def _norm_oracles(sys, els, points, periodic_points, grid: int) -> list[float]:
     before the next.  Walks along which an element's coefficients read the
     same values build the same matrices, so each distinct (kind, length,
     powers, values) is computed once, keyed by a SHA-256 digest of the
-    values: U and 1 + U take one eigvalsh for all their orbits.
+    values: U and 1 + U take one lane for all their orbits.  The distinct
+    orbit lanes go through one pivot bisection (``_oracle_orbit_norms``),
+    which gives each truncation's norm to within a relative
+    (2^-46 + 8 (2b + 1)(b + 2) 2^-53) / 2, b the largest power; each cycle
+    takes the dense eigvalsh scan.
     """
     memo: dict[tuple, float] = {}
-    best = [0.0] * len(els)
+    lanes: dict[tuple, list] = {}  # distinct orbit lanes, for the bisection
+    keys: list[set] = [set() for _ in els]
     orbits = ((True, forward_orbit(sys, x, _ORACLE_N)) for x in points)
     cycles = ((False, forward_orbit(sys, y, classify(sys, y).period)) for y in periodic_points)
     for is_orbit, walk in chain(orbits, cycles):
         for e, el in enumerate(els):
             vals = _oracle_values(sys, el, walk, trim=is_orbit)
             key = (is_orbit, len(walk)) + tuple((k, hashlib.sha256(v).digest()) for k, v in vals)
-            if key not in memo:
-                if is_orbit:
-                    memo[key] = _oracle_orbit_norm(vals, len(walk))
-                else:
-                    memo[key] = _oracle_periodic_scan(vals, len(walk), grid)
-            best[e] = max(best[e], memo[key])
-    return best
+            keys[e].add(key)
+            if is_orbit:
+                lanes.setdefault(key, vals)
+            elif key not in memo:
+                memo[key] = _oracle_periodic_scan(vals, len(walk), grid)
+    memo.update(zip(lanes, _oracle_orbit_norms(list(lanes.values()), _ORACLE_N)))
+    return [max([0.0, *(memo[k] for k in ks)]) for ks in keys]
 
 
 def check_norm_families(budgets: Budgets | None = None) -> CheckReport:

@@ -503,6 +503,17 @@ def ref_periodic_norm_estimate(sys, el, periodic_points, grid_size: int = 256):
 # eigvalsh per point, per element.  Kept as the reference it must equal.
 
 
+def ref_lane_norm(vals, n: int) -> float:
+    """||M|| of the open orbit lane [(k, v_k)], M[i + k, i] = v_k[i], by a
+    dense n x n assembly and eigvalsh of M^H M."""
+    import math
+
+    m = np.zeros((n, n), dtype=complex)
+    for k, v in vals:
+        m[np.arange(k, n), np.arange(n - k)] = v
+    return math.sqrt(max(float(np.linalg.eigvalsh(m.conj().T @ m)[-1]), 0.0))
+
+
 def ref_norm_oracle(sys, el, points, periodic_points, grid: int, n: int = 512) -> float:
     import math
 
