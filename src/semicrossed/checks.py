@@ -8,6 +8,7 @@ control corpus sizes but the tolerances are fixed.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -419,33 +420,87 @@ def _oracle_orbit_norms(lanes, n: int) -> list[float]:
     return np.ldexp(np.sqrt(hi_end), e).tolist()
 
 
+# The periodic oracle's lambda choice, by the Floquet phase
+#
+# A cycle of period p with values v_0, v_1 (band <= 1; a missing power reads
+# zero) gives P(lambda) = D_0 + lambda Z D_1, Z the cyclic down shift
+# (Z e_i = e_{i+1 mod p}), |lambda| = 1.  Column i of P is
+# v_0[i] e_i + lambda v_1[i] e_{i+1}, so for p >= 3 the Gram G = P^H P is a
+# periodic Jacobi matrix with G[i, i] = |v_0[i]|^2 + |v_1[i]|^2 and
+# G[i + 1, i] = lambda conj(v_0[i + 1]) v_1[i].  No modulus depends on
+# lambda; only the loop product kappa = prod_i G[i + 1, i] = lambda^p pi,
+# pi = prod_i conj(v_0[i]) v_1[i], does.  Expanding det(E - G) over
+# permutations, the p-cycle i -> i + 1 gives sign (-1)^(p-1) times
+# (-1)^p kappa = -kappa, its inverse gives -conj(kappa), and every other
+# permutation reads only the diagonal and the |G[i + 1, i]|^2.  So
+# det(E - G) = Delta_0(E) - 2 Re kappa with Delta_0 monic and free of
+# lambda.  For p = 2 the diagonal is fixed and
+# G[1, 0] = conj(lambda v_1[1]) v_0[0] + lambda conj(v_0[1]) v_1[0] has
+# |G[1, 0]|^2 = |v_1[1] v_0[0]|^2 + |v_0[1] v_1[0]|^2 + 2 Re(lambda^2 pi);
+# for p = 1, |P|^2 = |v_0|^2 + |v_1|^2 + 2 Re(lambda pi).
+#
+# In every case ||P(lambda)||^2 = lambda_max(G) is nondecreasing in
+# c = Re(lambda^p pi).  For p >= 3 take c' > c and E = lambda_max(G_c):
+# det(E - G_c') = Delta_0(E) - 2c' = -2 (c' - c) < 0, while the monic
+# det(E' - G_c') is positive for large E', so G_c' has an eigenvalue above E.
+# For p = 2, lambda_max = tr/2 + sqrt((G00 - G11)^2 / 4 + |G10|^2) grows
+# with |G10|^2, and for p = 1 the claim is the formula.  With
+# lambda = exp(2 pi i theta), c = |pi| cos(2 pi p theta + arg pi), so over
+# any set of angles the norm is largest at the angles of largest key
+# cos(2 pi p theta + arg pi), and when some v_0[i] or v_1[i] is zero
+# (pi = 0) it is one number for every lambda.  arg pi is taken as the
+# exactly rounded sum of the angles of v_1 minus those of v_0, so no
+# product over- or underflows.
+#
+# The key's rounding error stays below 100 (p + 1) u, u = 2^-53, far under
+# _KEY_TIE for every period classify can return (p <= 4097); angles whose
+# key lies within _KEY_TIE of the best one, which include every angle
+# with the same lambda^p, are evaluated too, and the largest computed norm
+# among them is the set's maximum.  The coarse winner j fixes the fine
+# window (j + [-1, 1]) / grid; tied coarse angles share lambda^p, so their
+# windows cover the same lambda^p.  The norms come from eigvalsh of the
+# same Gram matrices a dense scan of every angle builds, so the result
+# agrees with that scan to its rounding.  This path shares no code with
+# the estimator's lambda scan, whose faults it exists to catch.
+
 _ORACLE_REFINE = 100  # fine angles on each side of the coarse argmax
+_KEY_TIE = 2.0**-30  # keys this close to the best one are evaluated too
 
 
-def _oracle_periodic_scan(vals, p: int, grid: int):
-    """Independent lambda scan: coarse grid plus a refined window around the
-    coarse argmax, singular values via the Gram eigenvalue route."""
-    bands = []
-    for k, v in vals:
-        ck = np.zeros((p, p), dtype=complex)
-        ck[(np.arange(p) + k) % p, np.arange(p)] = v  # U^k f_k moves e_i to e_{i+k mod p}
-        bands.append((k, ck))
-    stack = np.stack([m for _, m in bands])
-    ks = np.array([k for k, _ in bands])
+def _oracle_periodic_scan(vals, p: int, grid: int) -> float:
+    """Largest ||P(lambda)|| of a cycle of p points with values [(k, v_k)],
+    k <= 1, over ``grid`` angles and the refined window around the coarse
+    maximizer; each set takes one batched Gram eigvalsh at its best keys."""
+    band = max((k for k, _ in vals), default=0)
+    if band > 1:
+        raise ValueError(f"the periodic oracle takes bands 0 and 1, not band {band}")
+    if not all(np.isfinite(v).all() for _, v in vals):
+        raise NonFinite("oracle values are not finite")
+    by_power = dict(vals)
+    v0, v1 = (by_power.get(k, np.zeros(p, dtype=complex)) for k in (0, 1))
+    flat = not (v0.all() and v1.all())  # pi = 0
+    phase = math.fmod(math.fsum(np.concatenate([np.angle(v1), -np.angle(v0)])), 2 * math.pi)
+    stack = np.zeros((len(vals), p, p), dtype=complex)
+    for m, (k, v) in enumerate(vals):
+        stack[m, (np.arange(p) + k) % p, np.arange(p)] = v  # U^k f_k moves e_i to e_{i+k mod p}
+    ks = np.array([k for k, _ in vals])
 
-    def scan(angles: np.ndarray) -> np.ndarray:
-        lams = np.exp(2j * np.pi * angles)
-        powers = lams[:, None] ** ks[None, :]
-        mats = np.einsum("lk,kij->lij", powers, stack)
+    def best(angles: np.ndarray):
+        """Indices of the angles of best key, and their norms."""
+        if flat:
+            pick = np.zeros(1, dtype=int)
+        else:
+            key = np.cos(2 * np.pi * p * angles + phase)
+            pick = np.flatnonzero(key >= key.max() - _KEY_TIE)
+        # lambda^k at every angle, so the picked ones carry a dense scan's bits
+        powers = np.exp(2j * np.pi * angles)[:, None] ** ks[None, :]
+        mats = np.einsum("lk,kij->lij", powers[pick], stack)
         grams = np.matmul(mats.conj().transpose(0, 2, 1), mats)
-        eigs = np.linalg.eigvalsh(grams)[:, -1]
-        return np.sqrt(np.clip(eigs, 0.0, None))
+        return pick, np.sqrt(np.clip(np.linalg.eigvalsh(grams)[:, -1], 0.0, None))
 
-    coarse_angles = np.arange(grid) / grid
-    coarse = scan(coarse_angles)
-    j = int(np.argmax(coarse))
-    fine_angles = (j + np.linspace(-1.0, 1.0, 2 * _ORACLE_REFINE + 1)) / grid
-    fine = scan(fine_angles)
+    pick, coarse = best(np.arange(grid) / grid)
+    j = int(pick[np.argmax(coarse)])
+    _, fine = best((j + np.linspace(-1.0, 1.0, 2 * _ORACLE_REFINE + 1)) / grid)
     return max(float(coarse.max()), float(fine.max()))
 
 
@@ -463,8 +518,11 @@ def _norm_oracles(sys, els, points, periodic_points, grid: int) -> list[float]:
     values: U and 1 + U take one lane for all their orbits.  The distinct
     orbit lanes go through one pivot bisection (``_oracle_orbit_norms``),
     which gives each truncation's norm to within a relative
-    (2^-46 + 8 (2b + 1)(b + 2) 2^-53) / 2, b the largest power; each cycle
-    takes the dense eigvalsh scan.
+    (2^-46 + 8 (2b + 1)(b + 2) 2^-53) / 2, b the largest power.  Each
+    distinct cycle takes the Floquet-phase scan (``_oracle_periodic_scan``):
+    a Gram eigvalsh at the coarse and at the fine angles of best key, where
+    a dense scan of all of them takes its maximum.  Elements of band above 1
+    raise ValueError there.
     """
     memo: dict[tuple, float] = {}
     lanes: dict[tuple, list] = {}  # distinct orbit lanes, for the bisection

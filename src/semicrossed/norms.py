@@ -607,7 +607,12 @@ def periodic_vector_check(
     eta = embed_periodic_vector(xi, lam, blocks)
     padded = np.zeros(n, dtype=complex)
     padded[: eta.shape[0]] = eta
-    lhs = float(np.linalg.norm(orbit_matrix(sys, y, el, n) @ padded))
+    # M padded from the bands, without the n x n matrix: band k maps c to c + k
+    bands = orbit_bands(sys, y, el, n)
+    image = np.zeros(n, dtype=complex)
+    for k in range(bands.shape[0]):
+        image[k:] += bands[k, : n - k] * padded[: n - k]
+    lhs = float(np.linalg.norm(image))
     return {"lhs": lhs, "rhs": rhs, "deficit": rhs - lhs, "blocks": blocks, "period": p}
 
 

@@ -514,6 +514,27 @@ def ref_lane_norm(vals, n: int) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(m.conj().T @ m)[-1]), 0.0))
 
 
+def ref_oracle_periodic_scan(vals, p: int, grid: int) -> float:
+    """The periodic oracle's dense scan: ||P(lambda)|| of the cycle lane
+    [(k, v_k)] by Gram eigvalsh at every one of ``grid`` angles, then at the
+    201 fine angles (j + linspace(-1, 1, 201)) / grid around the argmax j."""
+    stack = np.zeros((len(vals), p, p), dtype=complex)
+    for m, (k, v) in enumerate(vals):
+        stack[m, (np.arange(p) + k) % p, np.arange(p)] = v
+    ks = np.array([k for k, _ in vals])
+
+    def scan(angles):
+        lams = np.exp(2j * np.pi * angles)
+        mats = np.einsum("lk,kij->lij", lams[:, None] ** ks[None, :], stack)
+        grams = np.matmul(mats.conj().transpose(0, 2, 1), mats)
+        return np.sqrt(np.clip(np.linalg.eigvalsh(grams)[:, -1], 0.0, None))
+
+    coarse = scan(np.arange(grid) / grid)
+    j = int(np.argmax(coarse))
+    fine = scan((j + np.linspace(-1.0, 1.0, 201)) / grid)
+    return max(float(coarse.max()), float(fine.max()))
+
+
 def ref_norm_oracle(sys, el, points, periodic_points, grid: int, n: int = 512) -> float:
     import math
 

@@ -290,6 +290,13 @@ def test_verify_small_budget_failure(capsys):
     assert out == (DATA / "verify_norm_families_g8_n16.tsv").read_text()
 
 
+def test_verify_periodic_vector_golden(capsys):
+    # captured while the orbit side still took the dense n x n orbit matrix
+    code, out = run_cli(capsys, "--seed", "7", "verify", "periodic-vector")
+    assert code == 0
+    assert out == (DATA / "verify_periodic_vector_seed7.tsv").read_text()
+
+
 def test_verify_strict_stops_early(capsys):
     code, out = run_cli(
         capsys, "--grid", "8", "--nmax", "16", "--strict", "verify", "norm-families"

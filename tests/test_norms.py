@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -15,6 +16,7 @@ from helpers import (
     ref_periodic_norm_estimate,
 )
 from semicrossed import functions, norms
+from semicrossed.corpus import random_trig
 from semicrossed.norms import (
     _CYCLE_SKIP_LIMIT,
     _CYCLE_SKIP_MIN,
@@ -698,6 +700,41 @@ def test_periodic_vector_check_matches_power_iteration(doubling):
     res = sc.periodic_vector_check(doubling, sc.rational(1, 7), 1j, el, 4)
     twisted = sc.twisted_periodic_matrix(doubling, sc.rational(1, 7), 1j, el)
     assert res["rhs"] == pytest.approx(power_iteration_norm(twisted), abs=1e-9)
+
+
+def test_periodic_vector_check_builds_no_orbit_matrix(doubling, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("periodic_vector_check formed the n x n orbit matrix")
+
+    monkeypatch.setattr(norms, "orbit_matrix", refuse)
+    res = sc.periodic_vector_check(doubling, sc.rational(1, 7), 1j, one_plus_u(doubling), 128)
+    assert res["lhs"] <= res["rhs"] + 1e-12
+
+
+@pytest.mark.parametrize("band", [0, 1, 2, 3])
+def test_periodic_vector_check_lhs_matches_dense_product(doubling, band):
+    # The banded product and the dense M @ x each sum at most b + 1 nonzero
+    # products per entry (BLAS adds the zero ones exactly), so each entry
+    # is within 2 (b + 2) u (|M| |x|)_r of exact, complex products counted
+    # twice, and || |M| |x| || <= ||M||_F ||x||.  Each 2-norm adds a
+    # relative n u.
+    u = 2.0**-53
+    rng = random.Random(band)
+    el = sc.from_base(doubling, random_trig(rng, 2, 0.8))
+    for k in range(1, band + 1):
+        el = el + sc.from_base(doubling, random_trig(rng, 2, 0.8), power=k)
+    y, lam = sc.rational(1, 7), complex(np.exp(2j * np.pi * 5 / 32))
+    for blocks in (1, 4, 64):
+        res = sc.periodic_vector_check(doubling, y, lam, el, blocks)
+        p = res["period"]
+        n = blocks * p + band
+        xi = np.linalg.svd(sc.twisted_periodic_matrix(doubling, y, lam, el))[2][0].conj()
+        padded = np.zeros(n, dtype=complex)
+        padded[: blocks * p] = sc.embed_periodic_vector(xi, lam, blocks)
+        m = sc.orbit_matrix(doubling, y, el, n)
+        ref = float(np.linalg.norm(m @ padded))
+        bound = 4 * (band + 2) * np.linalg.norm(m) * np.linalg.norm(padded) + 2 * n * ref
+        assert abs(res["lhs"] - ref) <= bound * u
 
 
 def test_bilateral_orbit_check_shift(doubling):
