@@ -284,14 +284,23 @@ def _named_elements(sys: CircleTimesK, seed: int) -> list[tuple[str, Element]]:
     ]
 
 
-def _oracle_values(sys, el: Element, walk, trim: bool):
+def _oracle_values(sys, el: Element, walk, trim: bool, memo: dict | None = None):
     """Each coefficient's values along the walk, by scalar evaluation; an
-    open orbit of n points reads the first n - k of them at power k."""
+    open orbit of n points reads the first n - k of them at power k.
+    ``memo`` maps each coefficient to the values at the point keys met so
+    far, which are not evaluated again."""
+    memo = {} if memo is None else memo
     n = len(walk)
     out = []
     for k, f in el.coeffs:
-        pts = walk[: n - k] if trim else walk
-        out.append((k, np.array([evaluate_base(sys, f.base, pt) for pt in pts], dtype=complex)))
+        seen = memo.setdefault(f.base, {})
+        vals = []
+        for pt in walk[: n - k] if trim else walk:
+            key = point_key(pt)
+            if key not in seen:
+                seen[key] = evaluate_base(sys, f.base, pt)
+            vals.append(seen[key])
+        out.append((k, np.array(vals, dtype=complex)))
     return out
 
 
@@ -525,13 +534,14 @@ def _norm_oracles(sys, els, points, periodic_points, grid: int) -> list[float]:
     raise ValueError there.
     """
     memo: dict[tuple, float] = {}
+    values: dict = {}  # coefficient -> point key -> value, for _oracle_values
     lanes: dict[tuple, list] = {}  # distinct orbit lanes, for the bisection
     keys: list[set] = [set() for _ in els]
     orbits = ((True, forward_orbit(sys, x, _ORACLE_N)) for x in points)
     cycles = ((False, forward_orbit(sys, y, classify(sys, y).period)) for y in periodic_points)
     for is_orbit, walk in chain(orbits, cycles):
         for e, el in enumerate(els):
-            vals = _oracle_values(sys, el, walk, trim=is_orbit)
+            vals = _oracle_values(sys, el, walk, is_orbit, values)
             key = (is_orbit, len(walk)) + tuple((k, hashlib.sha256(v).digest()) for k, v in vals)
             keys[e].add(key)
             if is_orbit:

@@ -190,17 +190,22 @@ def evaluate_base(sys: System, g: BaseFunction, x: Point) -> complex:
 
 def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
     """(len(bases), n) values of each base at x, phi(x), ..., phi^(n-1)(x):
-    ``evaluate_base``'s values bit for bit, validating x and each base once."""
+    ``evaluate_base``'s values bit for bit, validating x and each base once.
+
+    Every point is eventually periodic, so the orbit is walked only until it
+    repeats: the bases are evaluated at its first ``pre + per`` points (at
+    most n) and gathered out to n."""
     check_point(sys, x)
     for g in bases:
         validate_base(sys, g)
-    out = np.zeros((len(bases), n), dtype=complex)
     if isinstance(x, RationalPoint):  # integer residues p k^i mod q, walked as r -> k r mod q
         q = x.value.denominator
-        res, r = [], x.value.numerator % q
-        for _ in range(n):
-            res.append(r)
+        first, r = {}, x.value.numerator % q
+        while r not in first and len(first) < n:
+            first[r] = len(first)
             r = sys.k * r % q
+        pre, res = first.get(r, n), list(first)
+        out = np.zeros((len(bases), len(res)), dtype=complex)
         terms = [(b, m, c) for b, g in enumerate(bases) for m, c in g.coeffs]
         ms = [m for _, m, _ in terms]
         # division rounds correctly, so unreduced residues give eval_fraction's doubles
@@ -215,16 +220,23 @@ def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
                 out[b].real += r
                 out[b].imag += i
     elif isinstance(x, WordPoint):  # a window sliding along the word
-        seq = [x.symbol(i) for i in range(n + max((g.depth for g in bases), default=1) - 1)]
+        pre = len(x.preperiod)
+        size = min(n, pre + len(x.cycle))
+        seq = [x.symbol(i) for i in range(size + max((g.depth for g in bases), default=1) - 1)]
+        out = np.zeros((len(bases), size), dtype=complex)
         for row, g in zip(out, bases):
             table = g.as_dict()
-            row[:] = [table[tuple(seq[i : i + g.depth])] for i in range(n)]
+            row[:] = [table[tuple(seq[i : i + g.depth])] for i in range(size)]
     else:
-        states = [x.state]
-        for _ in range(n - 1):
-            states.append(sys.images[states[-1]])
-        out = np.array([[g.values[s] for s in states] for g in bases], dtype=complex)
-    return out.reshape(len(bases), n)
+        first, s = {}, x.state
+        while s not in first and len(first) < n:
+            first[s] = len(first)
+            s = sys.images[s]
+        pre = first.get(s, n)
+        out = np.array([[g.values[s] for s in first] for g in bases], dtype=complex)
+        out = out.reshape(len(bases), len(first))
+    i = np.arange(n)
+    return out.take(np.where(i < pre, i, pre + (i - pre) % max(out.shape[1] - pre, 1)), axis=1)
 
 
 def refine_cylinder(sys: ShiftOfFiniteType, g: CylinderFunction, depth: int) -> CylinderFunction:

@@ -8,11 +8,12 @@ Lipschitz certificate).  Both scans SVD each distinct operator once: sample
 points whose coefficient values agree byte for byte give the same matrices,
 so only the first of them is assembled, certified and SVD'd.  Both also
 skip, with proof, the SVDs that cannot move their result: a banded LDL^H
-(``_certify_below``) shows a truncation or a periodic cell below a floor the
-scan has already reached.  The comparison helpers measure, at finite size,
-the identities that make those families cofinal: the periodic-vector
-transfer, the bilateral-window versus orbit-supremum agreement, and the
-isometric embedding into the extension's crossed product.
+(``_certify_below``) shows a truncation or a periodic cell below a floor
+that the scan's own SVDs have already reached.  The comparison helpers
+measure, at finite size, the identities that make those families cofinal:
+the periodic-vector transfer, the bilateral-window versus orbit-supremum
+agreement, and the isometric embedding into the extension's crossed
+product.
 """
 
 from __future__ import annotations
@@ -110,16 +111,19 @@ def orbit_norm_estimate(
     the maxima per size and the witness (the first strict maximum in point
     order) move only on a strict >, so it could change nothing.  An element
     with constant coefficients (U, 1 + U) thus takes one point's ladder.
-    A cell (x, n) whose SVD cannot move that maximum is skipped: for each n,
-    power iteration on all points gives a floor T_n <= max_x ||M_n(x)||, and
-    a banded LDL^H of T_n^2 (1 - delta) I - M_n M_n^H with only positive
-    pivots proves ||M_n(x)|| < T_n.  The slack delta = _SKIP_SLACK (about
-    1e-9) exceeds the rounding of that factorization, of the Rayleigh floor
-    and of the SVD, so a skipped cell's computed norm lies strictly below
-    the computed maximum at its size: the bracket, traces and witness are
-    exactly those of computing every cell.  The certificate runs only when
-    ``_skip_pays``: for a single distinct point, or a band too wide for the
-    ladder, every cell gets its SVD, one point at a time.
+    A cell (x, n) whose SVD cannot move that maximum is skipped
+    (``_ladder_norms``): every point is SVD'd at the sizes up to _BATCH_MAX,
+    the first point of largest norm at the last of them is SVD'd at each
+    larger size, and the running maxima T_n of its values are floors at most
+    the computed max_x ||M_n(x)||, up to the SVD's rounding.  A banded LDL^H
+    of T_n^2 (1 - delta) I - M_n M_n^H with only positive pivots proves
+    ||M_n(x)|| < T_n (1 - delta/4).  The slack delta = _SKIP_SLACK (about
+    1e-9) exceeds the rounding of that factorization and of the SVD, so a
+    skipped cell's computed norm lies strictly below the computed maximum at
+    its size: the bracket, traces and witness are exactly those of computing
+    every cell.  The certificate runs only when ``_skip_pays``: for a single
+    distinct point, or a band too wide for the ladder, every cell gets its
+    SVD, one point at a time.
     """
     require_semicrossed(el)
     if not points:
@@ -128,24 +132,22 @@ def orbit_norm_estimate(
     if n_max < band + 1:
         raise WindowTooSmall(f"n_max must be at least the band width {band + 1}")
     sizes = _ladder(n_max)
-    skip = np.zeros((len(sizes), len(points)), dtype=bool)
+    computed = None  # per (size, lane) once the lanes are stacked, NaN where skipped
     lanes = _distinct((x, orbit_bands(sys, x, el, n_max)) for x in points)
     if _skip_pays(len(points), band, sizes):  # narrow bands: stack the distinct lanes
         xs, bands = zip(*lanes)
         bands = np.stack(bands)
         _require_finite(bands)
         if _skip_pays(len(xs), band, sizes):
-            skip = _skip_mask(bands, sizes)
+            computed = _ladder_norms(bands, sizes)
         lanes = zip(xs, bands)
     best = 0.0
     witness = ""
     by_size = {n: 0.0 for n in sizes}
     for p, (x, vb) in enumerate(lanes):
         for s, n in enumerate(sizes):
-            if skip[s, p]:
-                continue
-            val = spectral_norm(_scatter_bands(vb, n))
-            if val > by_size[n]:
+            val = spectral_norm(_scatter_bands(vb, n)) if computed is None else float(computed[s, p])
+            if val > by_size[n]:  # never for NaN
                 by_size[n] = val
             if val > best:
                 best = val
@@ -178,8 +180,7 @@ def orbit_norm_estimate(
 # arithmetic the two together have norm below 8 (2 band + 1)(band + 2) u T^2,
 # which is at most delta/2 for band <= _SKIP_BAND_LIMIT.  A pass thus proves
 # ||M_n|| < T (1 - delta/4), and that relative gap is far above the rounding
-# of the Rayleigh floor and of LAPACK's largest singular value (a small
-# multiple of n u).
+# of LAPACK's largest singular value (a small multiple of n u), which T is.
 #
 # The periodic scan (the p-cycle, border b = band, 2b + 1 < p).  H is
 # cyclic banded, and the rows swept as a band couple to the last b rows,
@@ -207,9 +208,14 @@ def orbit_norm_estimate(
 # _SKIP_WIDTH_RATIO and the work below sum(n^3) / 8.  With 93 random points on
 # one BLAS thread (n_max 16..256), the certificate took 8-52% of the time of
 # all the ladder SVDs at that edge, and up to 2.2 times as long at widths
-# beyond it.  The cycle certificate costs m p (2b + 1)^2 against m p^3 for
-# the m SVDs of a sample, so it runs on every sample longer than
-# _CYCLE_SKIP_MIN (and than 2b + 1, below which the cycle wraps onto itself).
+# beyond it.  Its floors cost one SVD of every point at the sizes up to
+# _BATCH_MAX, one stack per size, and one of the candidate at each larger
+# size.  On the 32 circle-norm benchmark elements (seed 5, one BLAS thread,
+# Intel Xeon), the orbit ladders took 1.04 s in all with sizes up to 16
+# batched, 1.20 s up to 32 and 1.58 s up to 8.  The cycle certificate costs
+# m p (2b + 1)^2 against m p^3 for the m SVDs of a sample, so it runs on
+# every sample longer than _CYCLE_SKIP_MIN (and than 2b + 1, below which the
+# cycle wraps onto itself).
 #
 # The kept cells go to the SVD in stacks of at most _SVD_CHUNK entries (1 MB),
 # which the allocator recycles; whole-period stacks of up to 7 MB, each in
@@ -219,7 +225,7 @@ _SKIP_BAND_LIMIT = 512
 _SKIP_SLACK = 16 * (2 * _SKIP_BAND_LIMIT + 1) * (_SKIP_BAND_LIMIT + 2) * 2.0**-53
 _SKIP_FLOOR_MIN = 2.0**-400
 _SKIP_WIDTH_RATIO = 4
-_POWER_STEPS = 8
+_BATCH_MAX = 16
 _CYCLE_SKIP_MIN = 8
 _CYCLE_SKIP_LIMIT = 2**14
 _SVD_CHUNK = 2**16
@@ -253,70 +259,45 @@ def _cycle_skip_pays(period: int, band: int) -> bool:
 
 
 def _skip_mask(
-    bands: np.ndarray, sizes: Sequence[int], floor: np.ndarray | None = None, border: int = 0
+    bands: np.ndarray, sizes: Sequence[int], floor: np.ndarray, border: int = 0
 ) -> np.ndarray:
     """Mask of the lanes the certificate clears, as ``_certify_below``.
 
-    ``floor`` gives one threshold per stacked matrix (the periodic cells);
-    without it, the ladder's Rayleigh floors give one per size.  Its own
-    function so that the rescaled copy is freed before the SVDs run.
+    ``floor`` gives one threshold per size (the ladder) or per stacked
+    matrix (the periodic cells).  Its own function so that the rescaled copy
+    is freed before the SVDs run.
     """
     # an exact power-of-two rescale keeps the squares below overflow
     e = np.frexp(np.max(np.abs(bands)))[1]
     unit = np.ldexp(bands.view(float), -e).view(complex)
-    if floor is None:
-        thr = _rayleigh_floor(unit, sizes)
-    else:  # the unit cells have norm at most band + 1, far below 2^64
-        thr = np.minimum(np.ldexp(floor, -e), 2.0**64)
+    # the unit cells have norm at most band + 1, far below 2^64
+    thr = np.minimum(np.ldexp(floor, -e), 2.0**64)
     return _certify_below(unit, thr, sizes, border)
 
 
-def _band_mul(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M_n x for every stacked point; bands (P, w, >=n), x (P, n)."""
-    n = x.shape[1]
-    y = bands[:, 0, :n] * x
-    for k in range(1, min(bands.shape[1], n)):
-        y[:, k:] += bands[:, k, : n - k] * x[:, : n - k]
-    return y
+def _ladder_norms(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """(len(sizes), P) ``spectral_norm`` values of the stacked lanes' M_n,
+    n = sizes[s], NaN where the certificate proves a cell below its size's
+    floor.
 
-
-def _band_rmul(conj: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """M_n^H y for every stacked point, given the conjugated bands."""
-    n = y.shape[1]
-    x = conj[:, 0, :n] * y
-    for k in range(1, min(conj.shape[1], n)):
-        x[:, : n - k] += conj[:, k, : n - k] * y[:, k:]
-    return x
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    nrm = np.sqrt(np.sum(v.real**2 + v.imag**2, axis=1, keepdims=True))
-    return v / np.where(nrm > 0, nrm, 1.0)
-
-
-def _rayleigh_floor(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """Per ladder size n, a lower bound on max over points of ||M_n||.
-
-    Runs _POWER_STEPS steps of power iteration on M_n^H M_n for all points at
-    once, each size warm-started from the previous one, and keeps the largest
-    ||M_n v|| over unit iterates v (compressions make it valid for every
-    larger size too).
+    The sizes up to _BATCH_MAX are SVD'd whole, one stack per size.  The
+    first lane of largest norm at the last of them is the candidate: it is
+    SVD'd at each larger size, the running maxima of those values are the
+    floors, and only the cells ``_skip_mask`` does not clear are SVD'd.
     """
-    conj = bands.conj()
-    p, _, n_max = bands.shape
-    # a small tail keeps the warm start dominant but revives zero iterates
-    x = np.full((p, n_max), 1.0 / n_max, dtype=complex)
-    floor = np.zeros(len(sizes))
-    best = 0.0
-    for s, n in enumerate(sizes):
-        v = x[:, :n]
-        for _ in range(_POWER_STEPS):
-            y = _band_mul(bands, _unit_rows(v))
-            best = max(best, float(np.max(np.sum(y.real**2 + y.imag**2, axis=1))))
-            v = _band_rmul(conj, y)
-        x[:, :n] = _unit_rows(v)
-        floor[s] = math.sqrt(best)
-    return floor
+    out = np.full((len(sizes), len(bands)), np.nan)
+    small = sum(n <= _BATCH_MAX for n in sizes)
+    for s, n in enumerate(sizes[:small]):
+        out[s] = np.linalg.svd(_scatter_bands(bands, n), compute_uv=False)[:, 0]
+    if small < len(sizes):
+        top = int(np.argmax(out[small - 1]))
+        for s in range(small, len(sizes)):
+            out[s, top] = spectral_norm(_scatter_bands(bands[top], sizes[s]))
+        keep = ~_skip_mask(bands, sizes[small:], np.maximum.accumulate(out[small:, top]))
+        keep[:, top] = False
+        for s, p in zip(*np.nonzero(keep)):
+            out[small + s, p] = spectral_norm(_scatter_bands(bands[p], sizes[small + s]))
+    return out
 
 
 def _certify_below(
@@ -632,15 +613,10 @@ def bilateral_orbit_check(
     require_semicrossed(el)
     n = size if size is not None else 2 * half_width + 1
     bilateral = spectral_norm(bilateral_matrix(sys, xt, el, half_width))
-    seen = set()
+    ys = {point_key(y): y for y in map(xt.coordinate, range(1, 2 * half_width + 2))}
     orbit_sup = 0.0
-    for k in range(2 * half_width + 1):
-        y = xt.coordinate(k + 1)
-        key = point_key(y)
-        if key in seen:
-            continue
-        seen.add(key)
-        orbit_sup = max(orbit_sup, spectral_norm(orbit_matrix(sys, y, el, n)))
+    for _, mat in _distinct((y, orbit_matrix(sys, y, el, n)) for y in ys.values()):
+        orbit_sup = max(orbit_sup, spectral_norm(mat))
     return {
         "bilateral": bilateral,
         "orbit_sup": orbit_sup,
@@ -666,8 +642,8 @@ def embedding_check(
     semi = semicrossed_norm(sys, el, points, periodic_points, n_max, grid_size)
     lower = 0.0
     witness = ""
-    for xt in ext_points:
-        val = spectral_norm(bilateral_matrix(sys, xt, el, half_width))
+    for _, mat in _distinct((xt, bilateral_matrix(sys, xt, el, half_width)) for xt in ext_points):
+        val = spectral_norm(mat)
         if val > lower:
             lower = val
             witness = "bilateral window"

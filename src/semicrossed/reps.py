@@ -104,11 +104,12 @@ def _lift_orbits(sys: System, coeffs, xt: ExtPoint, offset: int, n: int) -> dict
 
 
 def _chain(values, n: int) -> np.ndarray:
-    """n x n open chain: values[k][i] goes to (c+k, c) with c = max(0, -k) + i."""
-    out = np.zeros((n, n), dtype=complex)
+    """n x n open chain: values[k][..., i] goes to (c+k, c) with c = max(0, -k) + i,
+    one chain per leading index of the values."""
+    out = np.zeros(np.shape(next(iter(values.values()), ()))[:-1] + (n, n), dtype=complex)
     for k, vals in values.items():
-        cols = max(0, -k) + np.arange(len(vals))
-        out[cols + k, cols] = vals
+        cols = max(0, -k) + np.arange(np.shape(vals)[-1])
+        out[..., cols + k, cols] = vals
     return out
 
 
@@ -156,8 +157,9 @@ def orbit_bands(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
 
 
 def _scatter_bands(bands: np.ndarray, n: int) -> np.ndarray:
-    """Leading n x n block of the lower-banded matrix with bands V[k, c] = M[c+k, c]."""
-    return _chain({k: bands[k, : n - k] for k in range(min(bands.shape[0], n))}, n)
+    """Leading n x n block of the lower-banded matrix with bands V[..., k, c] = M[c+k, c],
+    one block per leading index of the bands."""
+    return _chain({k: bands[..., k, : n - k] for k in range(min(bands.shape[-2], n))}, n)
 
 
 def orbit_matrix(sys: System, x: Point, el: Element, n: int) -> np.ndarray:

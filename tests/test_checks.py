@@ -64,6 +64,24 @@ def test_oracle_walks_each_orbit_once_per_check(monkeypatch):
     assert walks == [N] * 3 + [sc.classify(sys, y).period for y in per[:3]]
 
 
+def test_oracle_evaluates_each_coefficient_point_pair_once(monkeypatch):
+    sys, pts, per = _oracle_inputs(7)
+    els = [el for _, el in checks._named_elements(sys, 7)]
+    want = checks._norm_oracles(sys, els, pts[:3], per[:3], 8)
+    calls = []
+    evaluate = checks.evaluate_base
+    monkeypatch.setattr(
+        checks, "evaluate_base", lambda s, g, x: calls.append((g, sc.point_key(x))) or evaluate(s, g, x)
+    )
+    assert checks._norm_oracles(sys, els, pts[:3], per[:3], 8) == want
+    assert len(calls) == len(set(calls))
+    walks = [sc.forward_orbit(sys, x, N) for x in pts[:3]] + [
+        sc.forward_orbit(sys, y, sc.classify(sys, y).period) for y in per[:3]
+    ]
+    bases = {f.base for el in els for _, f in el.coeffs}
+    assert set(calls) == {(g, sc.point_key(x)) for g in bases for w in walks for x in w}
+
+
 def _orbit_oracle_per_point(sys, el, points) -> float:
     best = 0.0
     for x in points:

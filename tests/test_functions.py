@@ -161,7 +161,14 @@ def assert_orbit_values_match(sys, bases, x, n):
     want = np.array([[sc.evaluate_base(sys, g, pt) for pt in orbit] for g in bases], dtype=complex)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # bit for bit, signs of zero included
+    assert got.view(float).shape == (len(bases), 2 * n)  # gathered C-contiguous
     return got
+
+
+def _lengths(pre_plus_period: int) -> list[int]:
+    """Orbit lengths below, at and far above where the orbit first repeats."""
+    m = pre_plus_period
+    return sorted({1, max(m - 1, 1), m, m + 1, 10 * m + 3})
 
 
 def _trig(seed, freqs):
@@ -192,6 +199,35 @@ def test_orbit_values_circle(k, x):
     sys = sc.CircleTimesK(k)
     assert_orbit_values_match(sys, TRIG_BASES, sc.RationalPoint(x), 70)
     assert_orbit_values_match(sys, TRIG_BASES[:2], sc.RationalPoint(x), 70)
+
+
+@pytest.mark.parametrize(
+    "k,x",
+    [(2, Fraction(1, 7)), (2, Fraction(3, 28)), (2, Fraction(5, 96)), (3, Fraction(2, 81)), (2, Fraction(0))],
+)
+def test_orbit_values_circle_gathered_past_the_cycle(k, x):
+    sys = sc.CircleTimesK(k)
+    cls = sc.classify(sys, sc.RationalPoint(x))
+    for n in _lengths(cls.preperiod + cls.period):
+        assert_orbit_values_match(sys, TRIG_BASES, sc.RationalPoint(x), n)
+
+
+def test_orbit_values_sft_gathered_past_the_cycle(golden_mean):
+    bases = [random_cylinder(SFTS["goldenmean"], 3, 4), random_cylinder(SFTS["goldenmean"], 1, 5)]
+    x = sc.WordPoint((), (0, 1))
+    for steps in range(1, 13):  # preperiods 1 to 12
+        x = next(p for p in sc.preimages(golden_mean, x) if p.preperiod)
+        assert len(x.preperiod) == steps
+        for n in _lengths(steps + len(x.cycle)):
+            assert_orbit_values_match(golden_mean, bases, x, n)
+
+
+def test_orbit_values_permutation_gathered_past_the_cycle():
+    sys = sc.PermutationSystem((1, 2, 3, 4, 0, 6, 5, 7))  # cycles of length 5, 2 and 1
+    bases = [sc.TabularFunction(tuple(complex(s, 1 - s) for s in range(8)))]
+    for s, period in [(0, 5), (3, 5), (5, 2), (7, 1)]:
+        for n in _lengths(period):
+            assert_orbit_values_match(sys, bases, sc.StatePoint(s), n)
 
 
 def test_orbit_values_overflow_matches_scalar(doubling):

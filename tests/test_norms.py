@@ -579,6 +579,103 @@ def test_skip_certificate_rejects_nan(seed, n, band, data):
     assert not ok.any()
 
 
+# ---------------------------------------------------------------------------
+# the ladder kernel: exact floors from SVDs, then the certificate
+
+
+def _lanes(seed: int, count: int, n: int, band: int) -> np.ndarray:
+    return np.concatenate([_lower_banded(seed + i, n, band) for i in range(count)])
+
+
+def _assert_ladder_exact(bands: np.ndarray, sizes) -> np.ndarray:
+    """``_ladder_norms`` against a dense SVD of every cell: each computed
+    value bit for bit, each size's maximum and its first lane, and every
+    skipped cell strictly below the maximum at its size."""
+    got = norms._ladder_norms(bands, sizes)
+    ref = np.array([[sc.spectral_norm(_dense(b[None, :, :n])) for b in bands] for n in sizes])
+    done = ~np.isnan(got)
+    assert np.array_equal(got[done], ref[done])
+    for s in range(len(sizes)):
+        assert np.nanmax(got[s]) == ref[s].max()
+        assert np.nanargmax(got[s]) == np.argmax(ref[s])
+        assert np.all(ref[s, ~done[s]] < ref[s].max())
+    return got
+
+
+def test_ladder_norms_candidate_need_not_win_at_n_max():
+    # lane 0 leads at size 16 but is small beyond it; lane 1 overtakes it,
+    # fails the candidate's floor and is SVD'd
+    bands = _lanes(40, 6, 256, 2)
+    bands[0, :, :16] *= 10.0
+    bands[0, :, 16:] *= 0.01
+    bands[1, :, 64:] *= 10.0
+    got = _assert_ladder_exact(bands, _ladder(256))
+    assert np.argmax(got[2]) == 0  # the size-16 candidate
+    assert np.nanargmax(got[-1]) == 1
+    assert np.isnan(got[3:, 2:]).all()  # the rest are certified below
+
+
+def test_ladder_norms_single_lane():
+    got = _assert_ladder_exact(_lanes(41, 1, 256, 3), _ladder(256))
+    assert not np.isnan(got).any()
+
+
+def test_ladder_norms_zero_lanes():
+    zero = np.zeros((3, 3, 256), dtype=complex)
+    got = _assert_ladder_exact(zero, _ladder(256))
+    assert not got.any()  # a zero floor certifies nothing: every cell is SVD'd
+    mixed = np.concatenate([zero[:2], _lanes(42, 2, 256, 2), zero[:1]])
+    got = _assert_ladder_exact(mixed, _ladder(256))
+    assert np.isnan(got[3:, [0, 1, 4]]).all()  # below the nonzero lanes' floors
+
+
+def test_ladder_norms_at_the_skip_gate_edge():
+    sizes = _ladder(256)
+    band = 256 // (len(sizes) * 4) - 1  # the widest band the gate admits
+    assert _skip_pays(8, band, sizes) and not _skip_pays(8, band + 1, sizes)
+    _assert_ladder_exact(_lanes(43, 8, 256, band), sizes)
+
+
+@pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(np.nan, 0.0)], ids=["inf", "nan"])
+def test_orbit_ladder_non_finite_lane_raises_before_any_svd(doubling, bad, monkeypatch):
+    bands = norms.orbit_bands
+    poisoned = sc.rational(1, 7)
+
+    def values(sys, x, el, n):
+        out = bands(sys, x, el, n)
+        if x == poisoned:
+            out[1, 40] = bad
+        return out
+
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(norms, "orbit_bands", values)
+    monkeypatch.setattr(
+        norms.np.linalg, "svd", lambda a, *args, **kw: svds.append(a) or svd(a, *args, **kw)
+    )
+    el = sc.random_semicrossed_element(doubling, 11, max_power=3)
+    pts, _ = sc.default_samples(doubling)
+    assert poisoned in pts
+    with pytest.raises(sc.NonFinite, match="matrix has non-finite entries"):
+        sc.orbit_norm_estimate(doubling, el, pts, 256)
+    assert svds == []
+
+
+def test_orbit_ladder_svds_few_full_truncations(doubling, monkeypatch):
+    # the seeded f300 band-4 element on the 93 doubling samples: the size-16
+    # candidate's floors leave at most two other lanes to SVD at size 256
+    el = _f300_power4(doubling)
+    pts, _ = sc.default_samples(doubling)
+    full = []
+    svd_norm = norms.spectral_norm
+    monkeypatch.setattr(norms, "spectral_norm", lambda m: full.append(len(m) == 256) or svd_norm(m))
+    new = sc.orbit_norm_estimate(doubling, el, pts, 256)
+    assert sum(full) <= 3
+    monkeypatch.undo()
+    ref = dense_orbit_norm_estimate(doubling, el, pts, 256)
+    assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+
+
 def test_cycle_skip_gate():
     assert not _cycle_skip_pays(_CYCLE_SKIP_MIN, 0)  # short cycles set the floors
     assert _cycle_skip_pays(_CYCLE_SKIP_MIN + 1, 0)
