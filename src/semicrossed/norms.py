@@ -214,8 +214,8 @@ def orbit_norm_estimate(
 # Intel Xeon), the orbit ladders took 1.04 s in all with sizes up to 16
 # batched, 1.20 s up to 32 and 1.58 s up to 8.  The cycle certificate costs
 # m p (2b + 1)^2 against m p^3 for the m SVDs of a sample, so it runs on
-# every sample longer than _CYCLE_SKIP_MIN (and than 2b + 1, below which the
-# cycle wraps onto itself).
+# every sample longer than 2b + 1, below which the cycle wraps onto itself;
+# the first period scanned has zero floors, which certify nothing.
 #
 # The kept cells go to the SVD in stacks of at most _SVD_CHUNK entries (1 MB),
 # which the allocator recycles; whole-period stacks of up to 7 MB, each in
@@ -226,7 +226,6 @@ _SKIP_SLACK = 16 * (2 * _SKIP_BAND_LIMIT + 1) * (_SKIP_BAND_LIMIT + 2) * 2.0**-5
 _SKIP_FLOOR_MIN = 2.0**-400
 _SKIP_WIDTH_RATIO = 4
 _BATCH_MAX = 16
-_CYCLE_SKIP_MIN = 8
 _CYCLE_SKIP_LIMIT = 2**14
 _SVD_CHUNK = 2**16
 
@@ -251,11 +250,11 @@ def _skip_pays(n_points: int, band: int, sizes: Sequence[int]) -> bool:
 def _cycle_skip_pays(period: int, band: int) -> bool:
     """Whether a periodic sample's cells go through the skip certificate.
 
-    Short cycles are SVD'd whole (they set the floors, and their SVDs are
-    cheap); a cycle of at most 2 band + 1 points wraps onto itself, so its
-    H = P P^H has no band structure to factor.
+    A cycle of at most 2 band + 1 points wraps onto itself, so its
+    H = P P^H has no band structure to factor, and it is SVD'd whole; every
+    longer one is certified against the floors the shorter samples set.
     """
-    return max(_CYCLE_SKIP_MIN, 2 * band + 1) < period <= _CYCLE_SKIP_LIMIT
+    return 2 * band + 1 < period <= _CYCLE_SKIP_LIMIT
 
 
 def _skip_mask(
@@ -406,20 +405,20 @@ def periodic_norm_estimate(
     L*pi/grid_size certifies an upper bound for the sampled family, capped by
     the l1 bound.
 
-    The samples are scanned in ascending period, those of one period
-    together.  Samples of one period whose coefficient values along the
-    cycle agree byte for byte have the same cells, so only the first of them
-    is assembled, certified and SVD'd; the copies could set no trace row or
-    strict maximum that it does not.  A cell's SVD runs only where it could
-    raise a trace row.
-    Short samples (``_cycle_skip_pays``) are SVD'd whole.  For a longer one,
-    cell j's floor is the least trace row over its angles that the shorter
-    samples set, and a cyclic banded LDL^H (``_certify_below`` with a
-    border) skips every cell it proves strictly below its floor, with the
-    slack ``_cycle_slack(p)``.  A skipped cell's computed norm could move no
-    trace row and could not be the maximum, so the bracket, the traces and
-    the witness (the first strict maximum in sample order, picked after the
-    scan) are exactly those of SVDing every cell.
+    The samples are scanned in ascending period, those of one period together.
+    Samples of one period whose coefficient values along the cycle agree byte
+    for byte have the same cells, so only the first of them is assembled,
+    certified and SVD'd; the copies could set no trace row or strict maximum
+    that it does not.  A cell's SVD runs only where it could raise a trace
+    row.  A sample of at most 2b + 1 points, b the band, wraps onto itself and
+    is SVD'd whole.  For a longer one, cell j's floor is the least trace row
+    over its angles that the shorter samples set (zero, which certifies
+    nothing, in the first period), and a cyclic banded LDL^H
+    (``_certify_below``) skips every cell it proves strictly below its floor,
+    with the slack ``_cycle_slack(p)``.  A skipped cell's computed norm could
+    move no trace row and could not be the maximum, so the bracket, the traces
+    and the witness (the first strict maximum in sample order, picked after
+    the scan) are exactly those of SVDing every cell.
     """
     require_semicrossed(el)
     if not periodic_points:

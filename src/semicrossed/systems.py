@@ -15,6 +15,7 @@ All operations are deterministic and exact where the representation allows.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -412,13 +413,19 @@ def sft_properties(transition: Sequence[Sequence[int]]) -> SftReport:
 
 
 def admissible_words(sys: ShiftOfFiniteType, length: int) -> list[tuple[int, ...]]:
-    """All admissible words of the given length, lexicographically sorted."""
+    """All admissible words of the given length, lexicographically sorted: a
+    fresh list from ``_words``, which caches them per (transition, length)."""
+    return list(_words(tuple(map(tuple, sys.transition)), length))
+
+
+@functools.lru_cache(maxsize=32)
+def _words(transition: tuple[tuple[int, ...], ...], length: int) -> tuple[tuple[int, ...], ...]:
     if length < 1:
         raise ValueError("length must be >= 1")
-    words = [(a,) for a in range(sys.alphabet)]
+    words = [(a,) for a in range(len(transition))]
     for _ in range(length - 1):
-        words = [w + (b,) for w in words for b in range(sys.alphabet) if sys.allows(w[-1], b)]
-    return words
+        words = [w + (b,) for w in words for b, t in enumerate(transition[w[-1]]) if t == 1]
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ def test_readme_demo_norm_golden(capsys):
     assert out == (DATA / "demo_norm_F.tsv").read_text()
 
 
+def test_demo_sft_norm_golden(capsys):
+    # a band-1 cylinder element on the golden mean shift, whose samples of
+    # period 4-6 go through the skip certificate
+    code, out = run_cli(capsys, "--config", str(DATA / "demo_sft.cfg"), "norm", "S")
+    assert code == 0
+    assert out == (DATA / "demo_sft_norm_S.tsv").read_text()
+
+
 @pytest.mark.parametrize(
     "system",
     ["kind circle\n  k 2", "kind sft\n  row 1 1\n  row 1 0", "kind permutation\n  images 1 2 0"],

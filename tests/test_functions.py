@@ -58,6 +58,26 @@ def test_validate_base_kind(doubling, golden_mean):
         sc.validate_base(doubling, sc.TabularFunction((1.0,)))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        (((0, 0), 1.0), ((0, 1), 2.0)),  # (1, 0) missing
+        (((0, 0), 1.0), ((0, 1), 2.0), ((1, 0), 3.0), ((1, 1), 4.0)),  # 11 is not admissible
+        (((0, 0), 1.0), ((0, 1), 2.0), ((0, 1), 2.0), ((1, 0), 3.0)),  # a duplicate key
+    ],
+    ids=["missing", "extra", "duplicate"],
+)
+def test_validate_base_rejects_an_inexact_cover(golden_mean, values):
+    with pytest.raises(sc.KindMismatch, match="cover exactly the admissible words"):
+        sc.validate_base(golden_mean, sc.CylinderFunction(2, values))
+
+
+def test_validate_base_accepts_an_unsorted_exact_cover(golden_mean):
+    g = sc.CylinderFunction(2, (((1, 0), 3.0), ((0, 0), 1.0), ((0, 1), 2.0)))
+    sc.validate_base(golden_mean, g)
+    assert sc.evaluate_base(golden_mean, g, sc.WordPoint((1, 0), (0,))) == 3.0
+
+
 def test_sup_norm_exact_kinds(golden_mean):
     f = sc.CylinderFunction.from_values(1, {(0,): 3.0, (1,): -4.0})
     b = sc.sup_norm(f)

@@ -15,11 +15,10 @@ from helpers import (
     ref_periodic_cells,
     ref_periodic_norm_estimate,
 )
-from semicrossed import functions, norms
+from semicrossed import functions, norms, systems
 from semicrossed.corpus import random_trig
 from semicrossed.norms import (
     _CYCLE_SKIP_LIMIT,
-    _CYCLE_SKIP_MIN,
     _SKIP_BAND_LIMIT,
     _SKIP_SLACK,
     _certify_below,
@@ -188,7 +187,7 @@ def test_periodic_estimate_matches_permutation_powers(sys, el, periodic):
 
 @pytest.mark.parametrize(
     "sys,count,full",
-    [(sc.CircleTimesK(2), 4_050, 7_936), (sc.CircleTimesK(3), 6_522, 11_072)],
+    [(sc.CircleTimesK(2), 3_914, 7_936), (sc.CircleTimesK(3), 6_340, 11_072)],
     ids=["doubling", "tripling"],
 )
 def test_periodic_scan_svds_once_per_distinct_mu(sys, count, full, monkeypatch):
@@ -338,13 +337,17 @@ def test_estimates_validate_each_coefficient_once_per_point(golden_mean, monkeyp
     el = cylinder_element(golden_mean, 10, 5)
     pts, per = sc.default_samples(golden_mean)
     calls = []
-    words = functions.admissible_words
-    monkeypatch.setattr(functions, "admissible_words", lambda *a: calls.append(a) or words(*a))
+    validate = functions.validate_base
+    monkeypatch.setattr(functions, "validate_base", lambda *a: calls.append(a) or validate(*a))
+    systems._words.cache_clear()
     sc.orbit_norm_estimate(golden_mean, el, pts, 256)
     assert 0 < len(calls) <= len(pts) * len(el.coeffs)
     calls.clear()
     sc.periodic_norm_estimate(golden_mean, el, per, 16)
     assert 0 < len(calls) <= len(per) * len(el.coeffs)
+    # the words of (transition, depth 10) are generated once over both estimates
+    info = systems._words.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
 
 
 @pytest.mark.parametrize(
@@ -677,17 +680,60 @@ def test_orbit_ladder_svds_few_full_truncations(doubling, monkeypatch):
 
 
 def test_cycle_skip_gate():
-    assert not _cycle_skip_pays(_CYCLE_SKIP_MIN, 0)  # short cycles set the floors
-    assert _cycle_skip_pays(_CYCLE_SKIP_MIN + 1, 0)
+    assert _cycle_skip_pays(4, 1)
+    assert not _cycle_skip_pays(3, 1)  # p <= 2 band + 1: the cycle wraps onto itself
+    assert _cycle_skip_pays(2, 0)  # band-0 cycles certify from p = 2
+    assert not _cycle_skip_pays(1, 0)
     assert _cycle_skip_pays(10, 4)
-    assert not _cycle_skip_pays(9, 4)  # p <= 2 band + 1: the cycle wraps onto itself
+    assert not _cycle_skip_pays(9, 4)
     assert not _cycle_skip_pays(200, 100)
     assert _cycle_skip_pays(_CYCLE_SKIP_LIMIT, 4)
     assert not _cycle_skip_pays(_CYCLE_SKIP_LIMIT + 1, 4)  # beyond the slack bound
     assert _cycle_slack(_CYCLE_SKIP_LIMIT) < 2e-6
     for sys in [sc.golden_mean_shift(), SFT3, sc.ShiftOfFiniteType(((1, 1), (1, 1)))]:
-        # shift samples keep the whole scan
-        assert not any(_cycle_skip_pays(sc.classify(sys, y).period, 0) for y in sc.default_samples(sys)[1])
+        # band-1 shift samples of period 4-6 go through the certificate
+        periods = {sc.classify(sys, y).period for y in sc.default_samples(sys)[1]}
+        assert periods == set(range(1, 7))
+        assert {p for p in periods if _cycle_skip_pays(p, 1)} == {4, 5, 6}
+
+
+def _short_cycle_cases():
+    golden, doubling = sc.golden_mean_shift(), sc.CircleTimesK(2)
+    full2 = sc.ShiftOfFiniteType(((1, 1), (1, 1)))
+    return [
+        pytest.param(golden, cylinder_element(golden, 6, 5), id="goldenmean-d6"),
+        pytest.param(golden, cylinder_element(golden, 10, 5), id="goldenmean-d10"),
+        pytest.param(SFT3, cylinder_element(SFT3, 10, 5), id="sft3-d10"),
+        pytest.param(full2, cylinder_element(full2, 2, 5), id="full2-d2"),
+        pytest.param(doubling, sc.random_semicrossed_element(doubling, 11, max_power=1), id="circle-band1"),
+        pytest.param(doubling, sc.random_semicrossed_element(doubling, 11, max_power=2), id="circle-band2"),
+    ]
+
+
+@pytest.mark.parametrize("sys,el", _short_cycle_cases())
+def test_certified_short_cycles_change_no_bit(sys, el, monkeypatch):
+    _, per = sc.default_samples(sys)
+    new = sc.periodic_norm_estimate(sys, el, per, 256)
+    monkeypatch.setattr(norms, "_cycle_skip_pays", lambda p, band: False)
+    ref = sc.periodic_norm_estimate(sys, el, per, 256)  # every cell SVD'd
+    assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+
+
+def test_golden_mean_short_cycles_skip_cells(golden_mean, monkeypatch):
+    # every golden-mean sample has period <= 6; those of period 4-6 are certified
+    stacked = Counter()  # period -> matrices SVD'd
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kw):
+        stacked[a.shape[1]] += len(a)
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(norms.np.linalg, "svd", counted)
+    _, per = sc.default_samples(golden_mean)
+    sc.periodic_norm_estimate(golden_mean, cylinder_element(golden_mean, 10, 5), per, 256)
+    periods = [sc.classify(golden_mean, y).period for y in per]
+    cells = sum(256 // np.gcd(p, 256) for p in periods if 4 <= p <= 6)
+    assert sum(stacked[p] for p in (4, 5, 6)) < cells
 
 
 def _cyclic_banded(seed: int, p: int, band: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:

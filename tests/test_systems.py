@@ -195,6 +195,26 @@ def test_admissible_words(golden_mean):
     assert got == brute_admissible_words(golden_mean.transition, 3)
 
 
+@pytest.mark.parametrize(
+    "transition",
+    [((1, 1), (1, 0)), ((1, 1), (1, 1)), ((1, 1, 0), (1, 0, 1), (1, 0, 0)), [[1, 1], [1, 0]]],
+    ids=["goldenmean", "full2", "sft3", "goldenmean-lists"],
+)
+def test_admissible_words_match_brute_force(transition):
+    sys = sc.ShiftOfFiniteType(transition)
+    for length in range(1, 9):
+        assert sc.admissible_words(sys, length) == brute_admissible_words(transition, length)
+
+
+def test_admissible_words_returns_a_fresh_list(golden_mean):
+    words = sc.admissible_words(golden_mean, 4)
+    words[0] = (1, 1, 1, 1)
+    words.append((0, 0, 0, 0))
+    assert sc.admissible_words(golden_mean, 4) == brute_admissible_words(golden_mean.transition, 4)
+    with pytest.raises(ValueError):
+        sc.admissible_words(golden_mean, 0)
+
+
 def test_validate_transition_messages():
     with pytest.raises(sc.InvalidMatrix, match="row 1"):
         sc.validate_transition(((1, 1), (0, 0)))
