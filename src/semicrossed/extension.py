@@ -216,22 +216,6 @@ def periodic_lift(sys: System, x: Point, max_steps: int = 4096) -> PeriodicLift:
 # shift dynamics on the extension
 
 
-def shift(sys: System, xt: ExtPoint) -> ExtPoint:
-    """Extension map: prepend phi(x1)."""
-    if isinstance(xt, PeriodicLift):
-        c = xt.coords
-        return PeriodicLift(sys, c[-1:] + c[:-1])
-    return LazyLift(xt.cache, xt.start - 1)
-
-
-def shift_inverse(sys: System, xt: ExtPoint) -> ExtPoint:
-    """Inverse extension map: drop the first coordinate."""
-    if isinstance(xt, PeriodicLift):
-        c = xt.coords
-        return PeriodicLift(sys, c[1:] + c[:1])
-    return LazyLift(xt.cache, xt.start + 1)
-
-
 def shift_power(sys: System, xt: ExtPoint, n: int) -> ExtPoint:
     if isinstance(xt, PeriodicLift):
         p = xt.period
@@ -239,6 +223,16 @@ def shift_power(sys: System, xt: ExtPoint, n: int) -> ExtPoint:
         c = xt.coords
         return PeriodicLift(sys, c[r:] + c[:r])
     return LazyLift(xt.cache, xt.start - n)
+
+
+def shift(sys: System, xt: ExtPoint) -> ExtPoint:
+    """Extension map: prepend phi(x1)."""
+    return shift_power(sys, xt, 1)
+
+
+def shift_inverse(sys: System, xt: ExtPoint) -> ExtPoint:
+    """Inverse extension map: drop the first coordinate."""
+    return shift_power(sys, xt, -1)
 
 
 def project(xt: ExtPoint) -> Point:

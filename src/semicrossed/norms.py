@@ -34,7 +34,6 @@ from .reps import (
     _check_lambda,
     _coeff_orbits,
     _cycle,
-    _lambda_sum,
     _period,
     _scatter_bands,
     bilateral_matrix,
@@ -111,19 +110,19 @@ def orbit_norm_estimate(
     the maxima per size and the witness (the first strict maximum in point
     order) move only on a strict >, so it could change nothing.  An element
     with constant coefficients (U, 1 + U) thus takes one point's ladder.
-    A cell (x, n) whose SVD cannot move that maximum is skipped
-    (``_ladder_norms``): every point is SVD'd at the sizes up to _BATCH_MAX,
-    the first point of largest norm at the last of them is SVD'd at each
-    larger size, and the running maxima T_n of its values are floors at most
-    the computed max_x ||M_n(x)||, up to the SVD's rounding.  A banded LDL^H
-    of T_n^2 (1 - delta) I - M_n M_n^H with only positive pivots proves
-    ||M_n(x)|| < T_n (1 - delta/4).  The slack delta = _SKIP_SLACK (about
-    1e-9) exceeds the rounding of that factorization and of the SVD, so a
-    skipped cell's computed norm lies strictly below the computed maximum at
-    its size: the bracket, traces and witness are exactly those of computing
-    every cell.  The certificate runs only when ``_skip_pays``: for a single
-    distinct point, or a band too wide for the ladder, every cell gets its
-    SVD, one point at a time.
+    The distinct points' bands are stacked and go to ``_ladder_norms``,
+    which skips a cell (x, n) whose SVD cannot move that maximum: every point
+    is SVD'd at the sizes up to _BATCH_MAX, the first point of largest norm
+    at the last of them is SVD'd at each larger size, and the running maxima
+    T_n of its values are floors at most the computed max_x ||M_n(x)||, up
+    to the SVD's rounding.  A banded LDL^H of T_n^2 (1 - delta) I - M_n M_n^H
+    with only positive pivots proves ||M_n(x)|| < T_n (1 - delta/4).  The
+    slack delta = _SKIP_SLACK (about 1e-9) exceeds the rounding of that
+    factorization and of the SVD, so a skipped cell's computed norm lies
+    strictly below the computed maximum at its size: the bracket, traces and
+    witness are exactly those of computing every cell.  A single distinct
+    point, or a band too wide for the ladder (not ``_skip_pays``), has every
+    cell SVD'd.
     """
     require_semicrossed(el)
     if not points:
@@ -132,21 +131,15 @@ def orbit_norm_estimate(
     if n_max < band + 1:
         raise WindowTooSmall(f"n_max must be at least the band width {band + 1}")
     sizes = _ladder(n_max)
-    computed = None  # per (size, lane) once the lanes are stacked, NaN where skipped
-    lanes = _distinct((x, orbit_bands(sys, x, el, n_max)) for x in points)
-    if _skip_pays(len(points), band, sizes):  # narrow bands: stack the distinct lanes
-        xs, bands = zip(*lanes)
-        bands = np.stack(bands)
-        _require_finite(bands)
-        if _skip_pays(len(xs), band, sizes):
-            computed = _ladder_norms(bands, sizes)
-        lanes = zip(xs, bands)
+    xs, bands = zip(*_distinct((x, orbit_bands(sys, x, el, n_max)) for x in points))
+    bands = np.stack(bands)  # rebound, so that the per-lane tuple is freed
+    computed = _ladder_norms(bands, sizes)
     best = 0.0
     witness = ""
     by_size = {n: 0.0 for n in sizes}
-    for p, (x, vb) in enumerate(lanes):
+    for p, x in enumerate(xs):
         for s, n in enumerate(sizes):
-            val = spectral_norm(_scatter_bands(vb, n)) if computed is None else float(computed[s, p])
+            val = float(computed[s, p])
             if val > by_size[n]:  # never for NaN
                 by_size[n] = val
             if val > best:
@@ -234,17 +227,11 @@ def _cycle_slack(p: int) -> float:
     return 64 * p * (p + 2) * 2.0**-53
 
 
-def _skip_pays(n_points: int, band: int, sizes: Sequence[int]) -> bool:
-    """Whether the skip certificate is worth running before the ladder SVDs.
-
-    A single point is its own floor, so none of its cells can be skipped;
-    bands above _SKIP_BAND_LIMIT fall outside the slack derivation.
-    """
-    return (
-        n_points > 1
-        and band <= _SKIP_BAND_LIMIT
-        and len(sizes) * (band + 1) * _SKIP_WIDTH_RATIO <= sizes[-1]
-    )
+def _skip_pays(band: int, sizes: Sequence[int]) -> bool:
+    """Whether the skip certificate is worth running before the ladder SVDs
+    of more than one lane; bands above _SKIP_BAND_LIMIT fall outside the
+    slack derivation."""
+    return band <= _SKIP_BAND_LIMIT and len(sizes) * (band + 1) * _SKIP_WIDTH_RATIO <= sizes[-1]
 
 
 def _cycle_skip_pays(period: int, band: int) -> bool:
@@ -277,25 +264,28 @@ def _skip_mask(
 def _ladder_norms(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """(len(sizes), P) ``spectral_norm`` values of the stacked lanes' M_n,
     n = sizes[s], NaN where the certificate proves a cell below its size's
-    floor.
+    floor.  Raises NonFinite before any SVD if a band entry is not finite.
 
-    The sizes up to _BATCH_MAX are SVD'd whole, one stack per size.  The
-    first lane of largest norm at the last of them is the candidate: it is
-    SVD'd at each larger size, the running maxima of those values are the
-    floors, and only the cells ``_skip_mask`` does not clear are SVD'd.
+    The sizes up to _BATCH_MAX are SVD'd whole, one stack per size.  With
+    more than one lane and ``_skip_pays``, the first lane of largest norm at
+    the last of them is the candidate: it is SVD'd at each larger size, the
+    running maxima of those values are the floors, and only the cells
+    ``_skip_mask`` does not clear are SVD'd.  Otherwise every larger cell is.
     """
+    _require_finite(bands)
     out = np.full((len(sizes), len(bands)), np.nan)
     small = sum(n <= _BATCH_MAX for n in sizes)
     for s, n in enumerate(sizes[:small]):
         out[s] = np.linalg.svd(_scatter_bands(bands, n), compute_uv=False)[:, 0]
-    if small < len(sizes):
+    keep = np.ones((len(sizes) - small, len(bands)), dtype=bool)
+    if small < len(sizes) and len(bands) > 1 and _skip_pays(bands.shape[1] - 1, sizes):
         top = int(np.argmax(out[small - 1]))
         for s in range(small, len(sizes)):
             out[s, top] = spectral_norm(_scatter_bands(bands[top], sizes[s]))
         keep = ~_skip_mask(bands, sizes[small:], np.maximum.accumulate(out[small:, top]))
         keep[:, top] = False
-        for s, p in zip(*np.nonzero(keep)):
-            out[small + s, p] = spectral_norm(_scatter_bands(bands[p], sizes[small + s]))
+    for s, p in zip(*np.nonzero(keep)):
+        out[small + s, p] = spectral_norm(_scatter_bands(bands[p], sizes[small + s]))
     return out
 
 
@@ -557,7 +547,7 @@ def twisted_periodic_matrix(sys: System, y: Point, lam: complex, el: Element) ->
     require_semicrossed(el)
     lam = _check_lambda(lam)
     p = _period(sys, y)
-    return _lambda_sum(_cycle(_coeff_orbits(sys, el.coeffs, y, p), p, wraps=True), lam, p)
+    return _cycle(_coeff_orbits(sys, el.coeffs, y, p), p, lam, wraps=True)
 
 
 def periodic_vector_check(
@@ -566,7 +556,6 @@ def periodic_vector_check(
     lam: complex,
     el: Element,
     blocks: int,
-    size: int | None = None,
 ) -> dict:
     """Compare the orbit representation applied to an embedded periodic vector
     against the periodic representation's top singular pair.
@@ -578,9 +567,7 @@ def periodic_vector_check(
     mat = twisted_periodic_matrix(sys, y, lam, el)
     p = mat.shape[0]
     band = el.max_power
-    n = size if size is not None else blocks * p + band
-    if n < blocks * p + band:
-        raise ValueError("size must cover the embedded vector plus the band")
+    n = blocks * p + band
     svals = np.linalg.svd(mat)
     xi = svals[2][0].conj()
     rhs = float(svals[1][0])

@@ -5,16 +5,19 @@ Each layout puts coefficient values along a sequence of points on band k
 entries indexed from 0):
 
 * ``_chain``, an open chain: column c of band k goes to (c+k, c).
-* ``_cycle``, a p-cycle: column c of band k goes to ((c+k) mod p, c) and
-  carries lambda^k (lambda scales the shift) or lambda^((c+k)//p) (lambda
-  sits on the wraparound entry, ``norms.twisted_periodic_matrix``).
+* ``_cycle``, a p-cycle at a unit scalar lambda: column c of band k goes to
+  ((c+k) mod p, c) times lambda^k (lambda scales the shift) or
+  lambda^((c+k)//p) (lambda sits on the wraparound entry,
+  ``norms.twisted_periodic_matrix``).
 
 Four public families call them: ``orbit_matrix`` (chain along a forward
 orbit, M[i+k, i] = f_k(x_i); ``orbit_bands`` returns just those bands),
 ``periodic_matrix`` (cycle over a period-p point), ``bilateral_matrix``
 (chain over the two-sided orbit of an extended point, coordinates -M..M)
-and ``backward_matrix`` (chain for right-form elements along a backward
-orbit, band entries read at the row's coordinate).  All of them read
+and ``backward_matrix`` (right-form elements along a backward orbit, band
+entries read at the row's coordinate).  The two relations give opposite
+algebras, so the backward layout is the forward orbit truncation at the
+orbit's last coordinate, flipped and transposed.  All of them read
 ``functions._orbit_values`` once per forward orbit: on an extended point,
 coordinate j-1 is phi(coordinate j).
 
@@ -31,7 +34,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .elements import Element, RightFormElement, from_base, require_semicrossed, to_right_form
+from .elements import (
+    Element,
+    RightFormElement,
+    from_base,
+    from_right_form,
+    require_semicrossed,
+    to_right_form,
+)
 from .errors import BadLambda, NotPeriodic, OrbitCollision, WindowTooSmall, WrongForm
 from .extension import ExtPoint, PeriodicLift
 from .functions import BaseFunction, _orbit_values, compose_map
@@ -91,7 +101,7 @@ def _coeff_orbits(sys: System, coeffs, x: Point, n: int) -> dict[int, np.ndarray
 def _lift_orbits(sys: System, coeffs, xt: ExtPoint, offset: int, n: int) -> dict[int, np.ndarray]:
     """{k: f_k along the n-point forward orbit of xt.coordinate(offset + f_k.depth)},
     one ``_orbit_values`` batch per depth, in coefficient order (the order
-    ``_lambda_sum`` adds entries that share a position in)."""
+    ``_cycle`` adds entries that share a position in)."""
     rows: dict[int, np.ndarray] = {}
     for d in {f.depth: None for _, f in coeffs}:
         group = [(k, f) for k, f in coeffs if f.depth == d]
@@ -113,28 +123,22 @@ def _chain(values, n: int) -> np.ndarray:
     return out
 
 
-def _cycle(values, p: int, wraps: bool = False) -> dict[int, np.ndarray]:
-    """p-cycle placements of values[k][c] at ((c+k) mod p, c), unscaled.
+def _cycle(values, p: int, lam: complex, wraps: bool = False) -> np.ndarray:
+    """p x p cycle: values[k][c] times lam^e at ((c+k) mod p, c), with e = k,
+    or with ``wraps`` the wrap count (c+k) // p.
 
-    Returns {e: p x p matrix} grouped by the power e of lambda each entry
-    carries: e = k, or with ``wraps`` the wrap count (c+k) // p.  No two
-    entries of one group share a position.
+    Each power of lam is one Python ``complex ** int``, and entries that
+    share a position (p <= band) are added in coefficient order.
     """
     cols = np.arange(p)
-    groups: dict[int, np.ndarray] = {}
+    out = np.zeros((p, p), dtype=complex)
     for k, vals in values.items():
         vals = np.asarray(vals, dtype=complex)
         exps = (cols + k) // p if wraps else np.full(p, k)
         for e in range(exps[0], exps[-1] + 1):  # exps never decreases along c
             at = exps == e
-            out = groups.setdefault(e, np.zeros((p, p), dtype=complex))
-            out[(cols[at] + k) % p, cols[at]] = vals[at]
-    return groups
-
-
-def _lambda_sum(groups: dict[int, np.ndarray], lam: complex, p: int) -> np.ndarray:
-    """sum_e lam^e * groups[e], the cycle at one unit scalar."""
-    return sum((lam**e * placed for e, placed in groups.items()), np.zeros((p, p), dtype=complex))
+            out[(cols[at] + k) % p, cols[at]] += lam**e * vals[at]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,7 @@ def periodic_matrix(sys: System, y: Point, lam: complex, el: Element) -> np.ndar
     require_semicrossed(el)
     lam = _check_lambda(lam)
     p = _period(sys, y)
-    return _lambda_sum(_cycle(_coeff_orbits(sys, el.coeffs, y, p), p), lam, p)
+    return _cycle(_coeff_orbits(sys, el.coeffs, y, p), p, lam)
 
 
 def periodic_ext_matrix(sys: System, lift: PeriodicLift, lam: complex, el: Element) -> np.ndarray:
@@ -187,7 +191,7 @@ def periodic_ext_matrix(sys: System, lift: PeriodicLift, lam: complex, el: Eleme
     """
     lam = _check_lambda(lam)
     p = lift.period
-    return _lambda_sum(_cycle(_lift_orbits(sys, el.coeffs, lift, 0, p), p), lam, p)
+    return _cycle(_lift_orbits(sys, el.coeffs, lift, 0, p), p, lam)
 
 
 def bilateral_matrix(sys: System, xt: ExtPoint, el: Element, half_width: int) -> np.ndarray:
@@ -211,6 +215,8 @@ def backward_matrix(sys: System, orbit_pt: ExtPoint, g: RightFormElement, n: int
 
     Band k holds g_k evaluated at the row's backward-orbit coordinate:
     M[i, i-k] = g_k(x_{i+1}) with x_j the j-th coordinate of the orbit.
+    Coordinates 1..n are the forward orbit of coordinate n reversed, so M is
+    the flipped transpose of that point's forward-orbit truncation.
     """
     if not isinstance(g, RightFormElement):
         raise WrongForm("backward-orbit representations take right-form elements")
@@ -218,9 +224,7 @@ def backward_matrix(sys: System, orbit_pt: ExtPoint, g: RightFormElement, n: int
         raise WrongForm("right-form element must have nonnegative powers and depth-1 coefficients")
     if n < 1:
         raise ValueError("size must be >= 1")
-    # coordinates 1..n are the orbit of coordinate n reversed; column c of band k reads row c+k
-    rows = _lift_orbits(sys, [(k, f) for k, f in g.coeffs if k < n], orbit_pt, n - 1, n)
-    return _chain({k: vals[::-1][k:] for k, vals in rows.items()}, n)
+    return orbit_matrix(sys, orbit_pt.coordinate(n), from_right_form(g), n)[::-1, ::-1].T
 
 
 def rep_matrix(sys: System, spec: RepSpec, el) -> np.ndarray:
@@ -264,7 +268,7 @@ def covariance_defect(
     n = len(df)
     # rho(U) is placed directly: the bilateral layout of U needs half width >= 1
     if isinstance(spec, PeriodicOrbitRep):
-        rho_u = _lambda_sum(_cycle({1: np.ones(n)}, n), _check_lambda(spec.lam), n)
+        rho_u = _cycle({1: np.ones(n)}, n, _check_lambda(spec.lam))
     else:
         rho_u = _chain({1: np.ones(n - 1)}, n)
     # rho(f) is diagonal in every layout, so the commutator entry factors as

@@ -434,6 +434,22 @@ def ref_backward_matrix(sys, orbit_pt, g, n: int) -> np.ndarray:
     return out
 
 
+def grouped_cycle(values, p: int, lam: complex, wraps: bool = False) -> np.ndarray:
+    """The earlier two-step cycle placement, kept verbatim as the bit-level
+    reference for ``reps._cycle``: entries are grouped by the power e of lam
+    they carry, and the groups are scaled and summed afterwards."""
+    cols = np.arange(p)
+    groups: dict[int, np.ndarray] = {}
+    for k, vals in values.items():
+        vals = np.asarray(vals, dtype=complex)
+        exps = (cols + k) // p if wraps else np.full(p, k)
+        for e in range(exps[0], exps[-1] + 1):  # exps never decreases along c
+            at = exps == e
+            out = groups.setdefault(e, np.zeros((p, p), dtype=complex))
+            out[(cols[at] + k) % p, cols[at]] = vals[at]
+    return sum((lam**e * placed for e, placed in groups.items()), np.zeros((p, p), dtype=complex))
+
+
 def ref_periodic_cells(sys, el, y, p: int, lams) -> np.ndarray:
     """sum_k lam^k * C^k D_k for each lam in lams, a (len(lams), p, p) stack
     built from powers of the cyclic permutation matrix C."""

@@ -305,6 +305,14 @@ def test_verify_periodic_vector_golden(capsys):
     assert out == (DATA / "verify_periodic_vector_seed7.tsv").read_text()
 
 
+def test_verify_covariance_pushdown_golden(capsys):
+    # captured while the backward layout read its own orbit and the cycles
+    # summed lambda-power groups; pins both at the ulp level
+    code, out = run_cli(capsys, "--seed", "7", "verify", "covariance", "pushdown")
+    assert code == 0
+    assert out == (DATA / "verify_covariance_pushdown_seed7.tsv").read_text()
+
+
 def test_verify_strict_stops_early(capsys):
     code, out = run_cli(
         capsys, "--grid", "8", "--nmax", "16", "--strict", "verify", "norm-families"

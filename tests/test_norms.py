@@ -372,22 +372,24 @@ def test_zero_element_bracket(sys):
 def test_orbit_estimate_wide_band_takes_dense_ladder(doubling, monkeypatch):
     calls = []
     monkeypatch.setattr(norms, "_certify_below", lambda *a: calls.append(a))
-    el = sc.shift_element(doubling, 200)
     pts, _ = sc.default_samples(doubling)
-    new = sc.orbit_norm_estimate(doubling, el, pts, 256)
-    ref = dense_orbit_norm_estimate(doubling, el, pts, 256)
-    assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
+    # one lane of band 200, and six distinct lanes of band 9, one past the gate
+    wide = sc.random_semicrossed_element(doubling, 11, max_power=9)
+    assert wide.max_power == 9 and not _skip_pays(9, _ladder(256))
+    for el, xs in [(sc.shift_element(doubling, 200), pts), (wide, pts[:6])]:
+        new = sc.orbit_norm_estimate(doubling, el, xs, 256)
+        ref = dense_orbit_norm_estimate(doubling, el, xs, 256)
+        assert (new.bracket, new.traces, new.witness) == (ref.bracket, ref.traces, ref.witness)
     assert calls == []
 
 
 def test_skip_certificate_gate():
-    assert _skip_pays(93, 4, _ladder(256))
-    assert not _skip_pays(1, 4, _ladder(256))  # a lone point is its own floor
-    assert not _skip_pays(93, 9, _ladder(256))  # window too wide for the ladder
-    assert not _skip_pays(93, 200, _ladder(256))
+    assert _skip_pays(4, _ladder(256))
+    assert not _skip_pays(9, _ladder(256))  # window too wide for the ladder
+    assert not _skip_pays(200, _ladder(256))
     huge = _ladder(2**30)
-    assert _skip_pays(2, _SKIP_BAND_LIMIT, huge)
-    assert not _skip_pays(2, _SKIP_BAND_LIMIT + 1, huge)  # beyond the slack derivation
+    assert _skip_pays(_SKIP_BAND_LIMIT, huge)
+    assert not _skip_pays(_SKIP_BAND_LIMIT + 1, huge)  # beyond the slack derivation
 
 
 @pytest.mark.parametrize("n_max", [16, 256], ids=["dense", "certified"])
@@ -457,11 +459,7 @@ def test_constant_coefficients_take_one_lane(doubling, monkeypatch):
     calls = []
     svd_norm = norms.spectral_norm
     monkeypatch.setattr(norms, "spectral_norm", lambda m: calls.append(m.shape) or svd_norm(m))
-    pts, per = sc.default_samples(doubling)
-    el = one_plus_u(doubling)
-    sc.orbit_norm_estimate(doubling, el, pts, 256)
-    assert len(calls) == len(_ladder(256))
-    stacked = Counter()  # period -> matrices SVD'd
+    stacked = Counter()  # size or period -> stacked matrices SVD'd
     svd = np.linalg.svd
 
     def counted(a, *args, **kw):
@@ -469,6 +467,12 @@ def test_constant_coefficients_take_one_lane(doubling, monkeypatch):
         return svd(a, *args, **kw)
 
     monkeypatch.setattr(norms.np.linalg, "svd", counted)
+    pts, per = sc.default_samples(doubling)
+    el = one_plus_u(doubling)
+    sc.orbit_norm_estimate(doubling, el, pts, 256)
+    assert stacked == {4: 1, 8: 1, 16: 1}
+    assert len(calls) + sum(stacked.values()) == len(_ladder(256))
+    stacked.clear()
     sc.periodic_norm_estimate(doubling, el, per, 256)
     periods = {sc.classify(doubling, y).period for y in per}
     assert set(stacked) <= periods
@@ -510,8 +514,9 @@ def test_lanes_differing_in_a_zero_sign_stay_distinct(doubling, monkeypatch):
         norms.np.linalg, "svd", lambda a, *args, **kw: stacked.append(len(a)) or svd(a, *args, **kw)
     )
     samples = [x, sc.rational(2, 7), x]
-    sc.orbit_norm_estimate(doubling, el, samples, 16)  # the dense ladder, point by point
-    assert len(calls) == 2 * len(_ladder(16))
+    sc.orbit_norm_estimate(doubling, el, samples, 16)
+    assert calls == [] and stacked == [2] * len(_ladder(16))  # two lanes per size
+    stacked.clear()
     sc.periodic_norm_estimate(doubling, el, samples, 16)
     assert sum(stacked) == 2 * 16  # period 3, all 16 angles; the copy of x shares its cells
 
@@ -618,9 +623,13 @@ def test_ladder_norms_candidate_need_not_win_at_n_max():
     assert np.isnan(got[3:, 2:]).all()  # the rest are certified below
 
 
-def test_ladder_norms_single_lane():
+def test_ladder_norms_single_lane(monkeypatch):
+    # a lone lane is its own floor: every cell is SVD'd, none certified
+    calls = []
+    monkeypatch.setattr(norms, "_certify_below", lambda *a: calls.append(a))
     got = _assert_ladder_exact(_lanes(41, 1, 256, 3), _ladder(256))
     assert not np.isnan(got).any()
+    assert calls == []
 
 
 def test_ladder_norms_zero_lanes():
@@ -635,7 +644,7 @@ def test_ladder_norms_zero_lanes():
 def test_ladder_norms_at_the_skip_gate_edge():
     sizes = _ladder(256)
     band = 256 // (len(sizes) * 4) - 1  # the widest band the gate admits
-    assert _skip_pays(8, band, sizes) and not _skip_pays(8, band + 1, sizes)
+    assert _skip_pays(band, sizes) and not _skip_pays(band + 1, sizes)
     _assert_ladder_exact(_lanes(43, 8, 256, band), sizes)
 
 

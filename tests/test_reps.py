@@ -372,11 +372,29 @@ def test_chain_builders_equal_reference(case):
         for n in (1, 3, 8, 17):
             assert np.array_equal(sc.orbit_matrix(sys, x, el, n), helpers.ref_orbit_matrix(sys, x, el, n))
         rf = sc.to_right_form(el)
-        lift = sc.lift_point(sys, x, sc.SeededRandom(3))
-        for n in (1, 2, 6, 11):
-            assert np.array_equal(
-                sc.backward_matrix(sys, lift, rf, n), helpers.ref_backward_matrix(sys, lift, rf, n)
-            )
+        for seed in (3, 8):
+            lift = sc.lift_point(sys, x, sc.SeededRandom(seed))
+            for n in (1, 2, 6, 11, 64):
+                # bytes, so that the sign of every zero counts (repmat prints -0.000000)
+                got = sc.backward_matrix(sys, lift, rf, n)
+                assert got.tobytes() == helpers.ref_backward_matrix(sys, lift, rf, n).tobytes()
+
+
+@pytest.mark.parametrize("wraps", [False, True], ids=["scaled", "wraps"])
+@pytest.mark.parametrize(
+    "lam", [1.0 + 0j, 1j, complex(np.exp(2j * np.pi / 3))], ids=["1", "i", "cube-root"]
+)
+def test_cycle_matches_grouped_placement(wraps, lam):
+    # bit for bit, signed zeros included, against the earlier placement that
+    # grouped entries by power of lambda before scaling; p <= band puts
+    # several entries on one position, and negative powers wrap backwards
+    rng = np.random.default_rng(5)
+    for p in (1, 2, 3, 5, 8):
+        for ks in ([0], [1], [-2, 0, 3], [-4, -1, 0, 2, 5, 7], list(range(10))):
+            values = {k: rng.normal(size=p) + 1j * rng.normal(size=p) for k in ks}
+            values[ks[0]][0] = complex(-0.0, -0.0)
+            got = reps._cycle(values, p, lam, wraps)
+            assert got.tobytes() == helpers.grouped_cycle(values, p, lam, wraps).tobytes()
 
 
 @pytest.mark.parametrize("case", range(5))
