@@ -22,7 +22,7 @@ from .corpus import (
     seeded_aperiodic_rationals,
     seeded_lifts,
 )
-from .checks import ALL_CHECKS, CheckReport, CheckRow, run_checks
+from .checks import ALL_CHECKS, CheckReport, CheckRow
 from .elements import (
     Element,
     RightFormElement,

@@ -89,10 +89,6 @@ class CheckReport:
     rows: tuple[CheckRow, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    @property
     def failures(self) -> list[CheckRow]:
         return [r for r in self.rows if not r.passed]
 
@@ -720,12 +716,13 @@ def check_endomorphism(budgets: Budgets | None = None) -> CheckReport:
 # 9a. pushdown mechanics: semicrossed output, unitary-invariant norms
 
 
-def _periodic_lifts_for(sys, count: int = 2):
+def _periodic_lifts_for(sys):
+    """Lifts of two orbits of period at most 4, of period 2 or more if any."""
     pts = corpus.periodic_points(sys, 4)
     reps = corpus.orbit_representatives(sys, pts)
-    picked = [y for y in reps if classify(sys, y).period >= 2][:count]
+    picked = [y for y in reps if classify(sys, y).period >= 2][:2]
     if not picked:
-        picked = reps[:count]
+        picked = reps[:2]
     return [periodic_lift(sys, y) for y in picked]
 
 
@@ -855,12 +852,3 @@ ALL_CHECKS = {
     "embedding": check_embedding,
     "nest-tails": check_nest_tails,
 }
-
-
-def run_checks(names, budgets: Budgets | None = None) -> list[CheckReport]:
-    out = []
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise KeyError(f"unknown check {name!r}")
-        out.append(ALL_CHECKS[name](budgets))
-    return out

@@ -110,6 +110,13 @@ def _parse_int(tok: str, where: str) -> int:
         raise ConfigError(f"{where}: expected integer, got {tok!r}")
 
 
+def _value(toks: list[str], i: int, where: str) -> str:
+    """toks[i], or ConfigError naming the line that stops short of it."""
+    if i >= len(toks):
+        raise ConfigError(f"{where}: {' '.join(toks)!r} is missing a value")
+    return toks[i]
+
+
 def _tokenize(text: str) -> list[tuple[int, list[str]]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -140,7 +147,7 @@ def _parse_system(body: list[tuple[int, list[str]]]) -> System:
                 raise ConfigError(f"{where}: kind takes one value")
             kind = toks[1]
         elif key == "k":
-            k = _parse_int(toks[1], where)
+            k = _parse_int(_value(toks, 1, where), where)
         elif key == "row":
             rows.append(tuple(_parse_int(t, where) for t in toks[1:]))
         elif key == "images":
@@ -162,15 +169,18 @@ def _parse_system(body: list[tuple[int, list[str]]]) -> System:
     raise ConfigError(f"system: unknown kind {kind!r}")
 
 
+# budgets keys, each also a command line flag, and their Budgets fields
+_BUDGET_KEYS = {"seed": "seed", "nmax": "n_max", "grid": "grid_size", "window": "half_width"}
+
+
 def _parse_budgets(body: list[tuple[int, list[str]]]) -> Budgets:
     vals = {}
-    keys = {"nmax": "n_max", "grid": "grid_size", "window": "half_width", "seed": "seed"}
     for lineno, toks in body:
         where = f"line {lineno}"
         key = toks[0]
-        if key not in keys:
+        if key not in _BUDGET_KEYS:
             raise ConfigError(f"{where}: unknown budgets key {key!r}")
-        vals[keys[key]] = _parse_int(toks[1], where)
+        vals[_BUDGET_KEYS[key]] = _parse_int(_value(toks, 1, where), where)
     return Budgets(**vals)
 
 
@@ -193,7 +203,7 @@ def _parse_function(sys_: System, toks: list[str], where: str):
     if kind == "cyl":
         if not isinstance(sys_, ShiftOfFiniteType):
             raise ConfigError(f"{where}: cyl functions need an sft system")
-        depth = _parse_int(rest[0], where)
+        depth = _parse_int(_value(toks, 1, where), where)
         pairs = rest[1:]
         if len(pairs) % 2 != 0 or not pairs:
             raise ConfigError(f"{where}: cyl takes word/value pairs")
@@ -221,11 +231,11 @@ def _parse_element(sys_: System | None, body: list[tuple[int, list[str]]], name:
             continue
         if toks[0] != "term":
             raise ConfigError(f"{where}: element lines start with term")
-        power = _parse_int(toks[1], where)
+        power = _parse_int(_value(toks, 1, where), where)
         rest = toks[2:]
         depth = 1
         if rest and rest[0] == "depth":
-            depth = _parse_int(rest[1], where)
+            depth = _parse_int(_value(toks, 3, where), where)
             rest = rest[2:]
         if not rest:
             raise ConfigError(f"{where}: term needs a function")
@@ -357,8 +367,6 @@ def _classification_cells(cls) -> list[str]:
 
 
 def _cmd_classify(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
-    if cfg.system is None:
-        raise ConfigError("classify needs a system section")
     if len(args) != 1:
         raise ConfigError("usage: classify <point>")
     x = _parse_point(cfg.system, args[0])
@@ -369,8 +377,6 @@ def _cmd_classify(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
 
 
 def _cmd_lift(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
-    if cfg.system is None:
-        raise ConfigError("lift needs a system section")
     if len(args) not in (2, 3):
         raise ConfigError("usage: lift <point> <chooser> [depth]")
     depth = int(args[2]) if len(args) == 3 else 8
@@ -384,8 +390,6 @@ def _cmd_lift(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
 
 
 def _cmd_properties(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
-    if cfg.system is None:
-        raise ConfigError("properties needs a system section")
     if args:
         raise ConfigError("properties takes no arguments")
     sys_ = cfg.system
@@ -414,8 +418,6 @@ def _get_element(cfg: Config, name: str) -> Element:
 
 
 def _cmd_repmat(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
-    if cfg.system is None:
-        raise ConfigError("repmat needs a system section")
     if len(args) != 2:
         raise ConfigError("usage: repmat <rep-spec> <element>")
     spec = _parse_repspec(cfg.system, args[0])
@@ -431,8 +433,6 @@ def _cmd_repmat(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
 
 
 def _cmd_norm(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
-    if cfg.system is None:
-        raise ConfigError("norm needs a system section")
     if len(args) != 1:
         raise ConfigError("usage: norm <element>")
     el = _get_element(cfg, args[0])
@@ -473,6 +473,16 @@ def _cmd_verify(cfg: Config, args: list[str], strict: bool) -> tuple[list[list[s
     return rows, 1 if failed else 0
 
 
+_COMMANDS = {
+    "classify": _cmd_classify,
+    "lift": _cmd_lift,
+    "properties": _cmd_properties,
+    "repmat": _cmd_repmat,
+    "norm": _cmd_norm,
+    "verify": _cmd_verify,
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -484,10 +494,8 @@ def main(argv: list[str] | None = None) -> int:
         "and the verification suite",
     )
     parser.add_argument("--config", help="config file path")
-    parser.add_argument("--seed", type=int, help="override budgets.seed")
-    parser.add_argument("--nmax", type=int, help="override budgets.nmax")
-    parser.add_argument("--grid", type=int, help="override budgets.grid")
-    parser.add_argument("--window", type=int, help="override budgets.window")
+    for flag in _BUDGET_KEYS:
+        parser.add_argument(f"--{flag}", type=int, help=f"override budgets.{flag}")
     parser.add_argument("--out", help="write TSV output to this path")
     parser.add_argument(
         "--strict", action="store_true", help="stop at the first failing verify row"
@@ -502,36 +510,20 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = parse_config(fh.read())
         else:
             cfg = Config(CircleTimesK(2), {}, Budgets())
-        overrides = {}
-        if ns.seed is not None:
-            overrides["seed"] = ns.seed
-        if ns.nmax is not None:
-            overrides["n_max"] = ns.nmax
-        if ns.grid is not None:
-            overrides["grid_size"] = ns.grid
-        if ns.window is not None:
-            overrides["half_width"] = ns.window
-        if overrides:
-            cfg = Config(cfg.system, cfg.elements, replace(cfg.budgets, **overrides))
+        flags = {field: getattr(ns, flag) for flag, field in _BUDGET_KEYS.items()}
+        overrides = {field: v for field, v in flags.items() if v is not None}
+        cfg = replace(cfg, budgets=replace(cfg.budgets, **overrides))
 
-        if ns.command == "classify":
-            rows, code = _cmd_classify(cfg, ns.args)
-        elif ns.command == "lift":
-            rows, code = _cmd_lift(cfg, ns.args)
-        elif ns.command == "properties":
-            rows, code = _cmd_properties(cfg, ns.args)
-        elif ns.command == "repmat":
-            rows, code = _cmd_repmat(cfg, ns.args)
-        elif ns.command == "norm":
-            rows, code = _cmd_norm(cfg, ns.args)
-        elif ns.command == "verify":
-            rows, code = _cmd_verify(cfg, ns.args, ns.strict)
-        else:
+        command = _COMMANDS.get(ns.command)
+        if command is None:
             raise ConfigError(f"unknown command {ns.command!r}")
-    except SemicrossedError as exc:
-        _sys.stdout.write(f"error\t{type(exc).__name__}\t{exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+        if command is _cmd_verify:  # the checks build their own systems
+            rows, code = _cmd_verify(cfg, ns.args, ns.strict)
+        elif cfg.system is None:
+            raise ConfigError(f"{ns.command} needs a system section")
+        else:
+            rows, code = command(cfg, ns.args)
+    except (SemicrossedError, ValueError, OSError) as exc:
         _sys.stdout.write(f"error\t{type(exc).__name__}\t{exc}\n")
         return 2
 

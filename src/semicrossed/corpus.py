@@ -14,6 +14,7 @@ from math import gcd
 from typing import Sequence
 
 from .elements import Element, element, from_base
+from .errors import ConfigError
 from .extension import ExtPoint, SeededRandom, lift_point, periodic_lift
 from .functions import (
     BaseFunction,
@@ -31,6 +32,7 @@ from .systems import (
     StatePoint,
     System,
     WordPoint,
+    _MAX_STEPS,
     _orbit_ids,
     point_key,
 )
@@ -47,7 +49,7 @@ class Budgets:
 
     def __post_init__(self):
         if self.n_max < 4 or self.grid_size < 8 or self.half_width < 1:
-            raise ValueError("budgets out of range")
+            raise ConfigError("budgets out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +78,12 @@ def orbit_representatives(sys: System, pts: Sequence[Point]) -> list[Point]:
     Orbit representations at points on the same periodic orbit are unitarily
     equivalent, so estimates only need one representative.  Points share an
     orbit when their ``_orbit_ids`` sets agree (distinct points only on a
-    common cycle); a walk that does not close in 4096 steps is its own orbit.
+    common cycle); a walk that does not close in _MAX_STEPS is its own orbit.
     """
     seen = set()
     out = []
     for x in sorted(pts, key=point_key):
-        ids, first = _orbit_ids(sys, x, 4096)
+        ids, first = _orbit_ids(sys, x, _MAX_STEPS)
         orbit = frozenset(ids if first is not None else ids[:1])
         if orbit in seen:
             continue

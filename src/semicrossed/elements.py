@@ -91,8 +91,8 @@ def shift_element(sys: System, power: int = 1) -> Element:
     return element(sys, {power: ExtFunction(1, constant_base(sys, 1.0))})
 
 
-def from_base(sys: System, g: BaseFunction, power: int = 0, depth: int = 1) -> Element:
-    return element(sys, {power: ExtFunction(depth, g)})
+def from_base(sys: System, g: BaseFunction, power: int = 0) -> Element:
+    return element(sys, {power: ExtFunction(1, g)})
 
 
 def is_semicrossed(el: Element) -> bool:

@@ -12,7 +12,8 @@ coordinate.  ``project`` reads coordinate 1.  Classification of lifts never
 returns eventually-periodic (the extension map is invertible); a lazy lift
 is certified periodic only when the coordinate walk closes a cycle that is
 consistent all the way back to the first coordinate, which is sound because
-choosers are memoryless (their choice depends only on the current point).
+all three chooser types (``AlwaysMin``, ``SeededRandom``, ``ExplicitTail``)
+pick a preimage from the current point alone.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .systems import (
 class AlwaysMin:
     """Pick the smallest preimage in the canonical point order."""
 
-    memoryless = True
-
     def pick(self, sys: System, x: Point) -> Point:
         return preimages(sys, x)[0]
 
@@ -63,8 +62,6 @@ class SeededRandom:
     """Deterministic pseudo-random choice keyed by (seed, current point)."""
 
     seed: int
-
-    memoryless = True
 
     def pick(self, sys: System, x: Point) -> Point:
         options = preimages(sys, x)
@@ -80,12 +77,11 @@ class SeededRandom:
 
 @dataclass(frozen=True)
 class ExplicitTail:
-    """Chooser wrapping a user rule current-point -> preimage."""
+    """Chooser wrapping a user rule current-point -> preimage, which must
+    depend on the current point alone."""
 
     rule: Callable[[System, Point], Point]
     label: str = "explicit"
-
-    memoryless = True
 
     def pick(self, sys: System, x: Point) -> Point:
         y = self.rule(sys, x)
@@ -197,13 +193,13 @@ def lift_point(sys: System, x: Point, chooser: Chooser) -> LazyLift:
     return LazyLift(_BackwardCache(sys, x, chooser))
 
 
-def periodic_lift(sys: System, x: Point, max_steps: int = 4096) -> PeriodicLift:
+def periodic_lift(sys: System, x: Point) -> PeriodicLift:
     """The unique periodic backward orbit through a periodic point x.
 
     Coordinate j is phi^(n+1-j)(x) for a period-n point; raises NotPeriodic
     otherwise.
     """
-    cls = classify(sys, x, max_steps)
+    cls = classify(sys, x)
     if not cls.is_periodic:
         raise NotPeriodic(f"point is {cls.kind}")
     n = cls.period
@@ -257,8 +253,6 @@ def classify_lift(sys: System, xt: ExtPoint, max_depth: int = 256) -> Classifica
     """
     if isinstance(xt, PeriodicLift):
         return Classification.periodic(xt.period)
-    if not getattr(xt.cache.chooser, "memoryless", False):
-        return Classification.unresolved(max_depth)
     seen: dict = {}
     coords = []
     for j in range(1, max_depth + 1):

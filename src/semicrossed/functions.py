@@ -132,9 +132,6 @@ class CylinderFunction:
                 return c
         raise KeyError(f"word {w} not covered")
 
-    def l1_max(self) -> float:
-        return float(max((abs(c) for _, c in self.values), default=0.0))
-
 
 @dataclass(frozen=True)
 class TabularFunction:
@@ -354,12 +351,12 @@ class NormBracket:
         return self.upper - self.lower
 
 
-def sup_norm(g: BaseFunction, grid: int | None = None) -> NormBracket:
+def sup_norm(g: BaseFunction) -> NormBracket:
     """Certified bracket for sup |g|.
 
     Exact (width 0) for cylinder and tabular functions.  For trigonometric
-    polynomials: a uniform grid of size max(8*max_freq + 64, grid) gives the
-    lower bound; the upper bound widens it by the derivative bound
+    polynomials: a uniform grid of size 8*max_freq + 64 gives the lower
+    bound; the upper bound widens it by the derivative bound
     2*pi*max_freq*sum|c_k| times half the grid spacing, capped by sum|c_k|.
     """
     if isinstance(g, CylinderFunction):
@@ -376,8 +373,6 @@ def sup_norm(g: BaseFunction, grid: int | None = None) -> NormBracket:
     if not g.coeffs:
         return NormBracket(0.0, 0.0, "empty", "exact")
     n = 8 * g.max_freq + 64
-    if grid is not None:
-        n = max(n, int(grid))
     vals = np.abs(g.grid_values(n))
     j = int(np.argmax(vals))
     lower = float(vals[j])
@@ -471,14 +466,16 @@ def ext_is_zero(f: ExtFunction) -> bool:
     return base_is_zero(f.base)
 
 
-def ext_sup_norm(f: ExtFunction, grid: int | None = None) -> NormBracket:
+def ext_sup_norm(f: ExtFunction) -> NormBracket:
     # coordinate maps are onto, so the sup over the extension equals the sup
     # of the base function over X
-    return sup_norm(f.base, grid)
+    return sup_norm(f.base)
 
 
-def ext_equal(sys: System, f: ExtFunction, h: ExtFunction, tol: float = 1e-12) -> bool:
-    """Structural equality after lifting to a common depth."""
+def ext_equal(sys: System, f: ExtFunction, h: ExtFunction) -> bool:
+    """Structural equality after lifting to a common depth: every pair of
+    values or coefficients agrees within the fixed tolerance 1e-12."""
+    tol = 1e-12
     d = max(f.depth, h.depth)
     a = lift_to_depth(sys, f, d).base
     b = lift_to_depth(sys, h, d).base

@@ -28,13 +28,12 @@ import numpy as np
 
 from .elements import Element, l1_upper_bound, require_semicrossed
 from .errors import NonFinite, NotPeriodic, WindowTooSmall
-from .extension import ExtPoint
+from .extension import ExtPoint, periodic_lift
 from .functions import NormBracket, _orbit_values, ext_sup_norm
 from .reps import (
     _check_lambda,
-    _coeff_orbits,
     _cycle,
-    _period,
+    _lift_orbits,
     _scatter_bands,
     bilateral_matrix,
     orbit_bands,
@@ -546,8 +545,9 @@ def twisted_periodic_matrix(sys: System, y: Point, lam: complex, el: Element) ->
     """
     require_semicrossed(el)
     lam = _check_lambda(lam)
-    p = _period(sys, y)
-    return _cycle(_coeff_orbits(sys, el.coeffs, y, p), p, lam, wraps=True)
+    lift = periodic_lift(sys, y)
+    p = lift.period
+    return _cycle(_lift_orbits(sys, el.coeffs, lift, 0, p), p, lam, wraps=True)
 
 
 def periodic_vector_check(
@@ -592,14 +592,13 @@ def bilateral_orbit_check(
     xt: ExtPoint,
     el: Element,
     half_width: int,
-    size: int | None = None,
 ) -> dict:
-    """Windowed two-sided norm against the supremum of orbit truncations
-    taken over backward shifts of the extended point."""
+    """Windowed two-sided norm against the supremum of the (2M+1)-point orbit
+    truncations taken over backward shifts of the extended point."""
     require_semicrossed(el)
-    n = size if size is not None else 2 * half_width + 1
+    n = 2 * half_width + 1
     bilateral = spectral_norm(bilateral_matrix(sys, xt, el, half_width))
-    ys = {point_key(y): y for y in map(xt.coordinate, range(1, 2 * half_width + 2))}
+    ys = {point_key(y): y for y in map(xt.coordinate, range(1, n + 1))}
     orbit_sup = 0.0
     for _, mat in _distinct((y, orbit_matrix(sys, y, el, n)) for y in ys.values()):
         orbit_sup = max(orbit_sup, spectral_norm(mat))

@@ -42,10 +42,10 @@ from .elements import (
     require_semicrossed,
     to_right_form,
 )
-from .errors import BadLambda, NotPeriodic, OrbitCollision, WindowTooSmall, WrongForm
-from .extension import ExtPoint, PeriodicLift
+from .errors import BadLambda, OrbitCollision, WindowTooSmall, WrongForm
+from .extension import ExtPoint, PeriodicLift, periodic_lift
 from .functions import BaseFunction, _orbit_values, compose_map
-from .systems import Point, System, classify, forward_orbit, point_key
+from .systems import Point, System, forward_orbit, point_key
 
 # ---------------------------------------------------------------------------
 # representation specs (used by covariance_defect and the CLI)
@@ -83,14 +83,6 @@ def _check_lambda(lam: complex) -> complex:
     if abs(abs(lam) - 1.0) > 1e-12:
         raise BadLambda(f"|lambda| = {abs(lam)!r} is not 1")
     return lam
-
-
-def _period(sys: System, y: Point) -> int:
-    """The period of y; raises NotPeriodic when y is not periodic."""
-    cls = classify(sys, y)
-    if not cls.is_periodic:
-        raise NotPeriodic(f"point is {cls.kind}")
-    return cls.period
 
 
 def _coeff_orbits(sys: System, coeffs, x: Point, n: int) -> dict[int, np.ndarray]:
@@ -176,11 +168,12 @@ def orbit_matrix(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
 
 
 def periodic_matrix(sys: System, y: Point, lam: complex, el: Element) -> np.ndarray:
-    """p x p periodic-orbit representation with the shift scaled by lambda."""
+    """p x p periodic-orbit representation with the shift scaled by lambda:
+    the periodic-lift representation at the lift through the period-p point
+    y (raises NotPeriodic otherwise)."""
     require_semicrossed(el)
     lam = _check_lambda(lam)
-    p = _period(sys, y)
-    return _cycle(_coeff_orbits(sys, el.coeffs, y, p), p, lam)
+    return periodic_ext_matrix(sys, periodic_lift(sys, y), lam, el)
 
 
 def periodic_ext_matrix(sys: System, lift: PeriodicLift, lam: complex, el: Element) -> np.ndarray:
@@ -286,22 +279,18 @@ def covariance_defect(
 
 
 def invariant_subspaces_are_tails(
-    sys: System,
-    x: Point,
-    funcs: Sequence[BaseFunction],
-    n: int,
-    tol: float = 1e-12,
+    sys: System, x: Point, funcs: Sequence[BaseFunction], n: int
 ) -> bool:
     """True when the listed base functions separate the first n orbit points.
 
     The compressed shift is one nilpotent Jordan block, so its only invariant
     subspaces are the tails whatever the functions are.  The functions
     contribute separation (each pair i != j has a function whose values differ
-    by more than tol; a NaN never counts): exactly then their diagonals and the
-    identity generate every coordinate projection.  That is the part that
-    carries to the full orbit representation, where the projections leave only
-    coordinate subspaces and the shift only the tails among them.  Raises
-    OrbitCollision if the first n orbit points repeat.
+    by more than the fixed tolerance 1e-12; a NaN never counts): exactly then
+    their diagonals and the identity generate every coordinate projection.
+    That is the part that carries to the full orbit representation, where the
+    projections leave only coordinate subspaces and the shift only the tails
+    among them.  Raises OrbitCollision if the first n orbit points repeat.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -309,5 +298,5 @@ def invariant_subspaces_are_tails(
     if len({point_key(p) for p in orbit}) != n:
         raise OrbitCollision("forward orbit repeats inside the window")
     vals = _orbit_values(sys, list(funcs), x, n)
-    gaps = np.abs(vals[:, :, None] - vals[:, None, :]) > tol
+    gaps = np.abs(vals[:, :, None] - vals[:, None, :]) > 1e-12
     return bool((gaps.any(axis=0) | np.eye(n, dtype=bool)).all())

@@ -5,8 +5,7 @@ Three system kinds are supported, each with an exact point representation:
 * ``CircleTimesK(k)``       -- x -> k*x mod 1 on the circle, points are
   ``fractions.Fraction`` values in [0, 1).
 * ``ShiftOfFiniteType(T)``  -- the one-sided shift on sequences admissible
-  for a 0/1 transition matrix T, points are eventually periodic words or
-  procedural (black-box) words.
+  for a 0/1 transition matrix T, points are eventually periodic words.
 * ``PermutationSystem(p)``  -- a bijection of a finite state set.
 
 All operations are deterministic and exact where the representation allows.
@@ -324,10 +323,13 @@ def _orbit_ids(sys: System, x: Point, max_steps: int) -> tuple[list, int | None]
     return list(seen), None
 
 
-def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
+_MAX_STEPS = 4096  # the longest walk of classify and corpus.orbit_representatives
+
+
+def classify(sys: System, x: Point) -> Classification:
     """Decide periodic / eventually periodic: words by their preperiod and
     cycle, other points by their ``_orbit_ids`` walk, which is exact whenever
-    max_steps covers the transient (for p/q under CircleTimesK at most q
+    ``_MAX_STEPS`` covers the transient (for p/q under CircleTimesK at most q
     steps are ever needed)."""
     if isinstance(x, WordPoint):
         check_point(sys, x)
@@ -338,9 +340,9 @@ def classify(sys: System, x: Point, max_steps: int = 4096) -> Classification:
             if q == 0
             else Classification.eventually_periodic(q, p)
         )
-    ids, first = _orbit_ids(sys, x, max_steps)
+    ids, first = _orbit_ids(sys, x, _MAX_STEPS)
     if first is None:
-        return Classification.unresolved(max_steps)
+        return Classification.unresolved(_MAX_STEPS)
     period = len(ids) - first
     if first:
         return Classification.eventually_periodic(first, period)

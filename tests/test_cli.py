@@ -274,6 +274,39 @@ def test_unknown_key_line_number(capsys, tmp_path):
         assert "ConfigError" in out
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("system {\n kind circle\n k\n}\n", "line 3: 'k'"),
+        ("budgets {\n nmax\n}\n", "line 2: 'nmax'"),
+        ("budgets {\n nmax 16\n grid\n}\n", "line 3: 'grid'"),
+        ("budgets {\n window\n}\n", "line 2: 'window'"),
+        ("budgets {\n seed\n}\n", "line 2: 'seed'"),
+        ("system {\n kind circle\n k 2\n}\nelement F {\n term\n}\n", "line 6: 'term'"),
+        ("system {\n kind circle\n k 2\n}\nelement F {\n term 0 depth\n}\n", "line 6: 'term 0 depth'"),
+        ("system {\n kind sft\n row 1 1\n row 1 0\n}\nelement F {\n term 0 cyl\n}\n", "line 7: 'cyl'"),
+    ],
+    ids=["k", "nmax", "grid", "window", "seed", "term", "term-depth", "term-cyl"],
+)
+def test_config_line_without_value(capsys, tmp_path, text, row):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(text)
+    code, out = run_cli(capsys, "--config", str(cfg), "verify", "transfer")
+    assert code == 2
+    assert out == f"error\tConfigError\t{row} is missing a value\n"
+
+
+def test_budgets_out_of_range_row(capsys, tmp_path):
+    code, out = run_cli(capsys, "--nmax", "2", "verify", "transfer")
+    assert code == 2
+    assert out == "error\tConfigError\tbudgets out of range\n"
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("budgets {\n grid 4\n}\n")
+    code, out = run_cli(capsys, "--config", str(cfg), "verify", "transfer")
+    assert code == 2
+    assert out == "error\tConfigError\tbudgets out of range\n"
+
+
 def test_unclosed_section(capsys, tmp_path):
     cfg = tmp_path / "open.cfg"
     cfg.write_text("system {\n kind circle\n k 2\n")
@@ -286,6 +319,34 @@ def test_verify_unknown_token(capsys):
     code, out = run_cli(capsys, "verify", "bogus")
     assert code == 2
     assert "unknown check" in out
+
+
+@pytest.fixture
+def no_system_cfg(tmp_path):
+    path = tmp_path / "nosys.cfg"
+    path.write_text("budgets {\n  nmax 16\n}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["classify", "lift", "properties", "repmat", "norm"])
+def test_command_needs_system_section(capsys, no_system_cfg, command):
+    # the system check comes before each command's own argument checks
+    code, out = run_cli(capsys, "--config", no_system_cfg, command)
+    assert code == 2
+    assert out == f"error\tConfigError\t{command} needs a system section\n"
+
+
+def test_unknown_command_row(capsys, no_system_cfg):
+    # an unknown command is reported before a missing system section
+    code, out = run_cli(capsys, "--config", no_system_cfg, "bogus")
+    assert code == 2
+    assert out == "error\tConfigError\tunknown command 'bogus'\n"
+
+
+def test_verify_needs_no_system(capsys, no_system_cfg):
+    code, out = run_cli(capsys, "--config", no_system_cfg, "verify", "transfer")
+    assert code == 0
+    assert out.startswith("check\tcase\tstatus\tdetail\ntransfer\t")
 
 
 def test_verify_small_budget_failure(capsys):
@@ -311,6 +372,17 @@ def test_verify_covariance_pushdown_golden(capsys):
     code, out = run_cli(capsys, "--seed", "7", "verify", "covariance", "pushdown")
     assert code == 0
     assert out == (DATA / "verify_covariance_pushdown_seed7.tsv").read_text()
+
+
+def test_verify_lift_bilateral_nest_golden(capsys):
+    # captured while periodic_lift took a step budget, classify_lift read a
+    # chooser flag, bilateral_orbit_check a size and the nest-tails test a
+    # tolerance argument
+    code, out = run_cli(
+        capsys, "--seed", "7", "verify", "periodic-lift", "bilateral-orbit", "nest-tails"
+    )
+    assert code == 0
+    assert out == (DATA / "verify_lift_bilateral_nest_seed7.tsv").read_text()
 
 
 def test_verify_strict_stops_early(capsys):

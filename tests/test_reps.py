@@ -78,6 +78,31 @@ def test_periodic_matrix_guards(doubling):
         sc.periodic_matrix(doubling, sc.rational(1, 3), 2.0 + 0j, el)
 
 
+@pytest.mark.parametrize(
+    "lam", [1.0 + 0j, 1j, complex(np.exp(2j * np.pi / 3))], ids=["1", "i", "cube-root"]
+)
+def test_periodic_matrix_is_the_periodic_lift_matrix(lam):
+    # the periodic points of the extension are the periodic lifts, so the
+    # periodic-orbit layout at y is the periodic-lift layout at the lift
+    # through y; bands above the period put several entries on one position
+    cases = [
+        (sc.doubling_map(), [sc.rational(0, 1), sc.rational(1, 3), sc.rational(1, 7)]),
+        (sc.golden_mean_shift(), [sc.WordPoint((), (0,)), sc.WordPoint((), (0, 0, 1))]),
+        (sc.PermutationSystem((1, 2, 0, 3)), [sc.StatePoint(0), sc.StatePoint(3)]),
+    ]
+    for i, (sys, points) in enumerate(cases):
+        el = sc.random_semicrossed_element(sys, 11 + i, max_power=5)
+        assert el.max_power > 3
+        for y in points:
+            want = sc.periodic_ext_matrix(sys, sc.periodic_lift(sys, y), lam, el)
+            assert sc.periodic_matrix(sys, y, lam, el).tobytes() == want.tobytes()
+
+
+def test_periodic_matrix_checks_lambda_before_the_period(doubling):
+    with pytest.raises(sc.BadLambda):
+        sc.periodic_matrix(doubling, sc.rational(1, 2), 2.0 + 0j, sc.shift_element(doubling))
+
+
 def test_periodic_ext_matrix_depth(doubling):
     lift = sc.periodic_lift(doubling, sc.rational(1, 7))
     deep = sc.element(doubling, {0: sc.ext(2, cosine())})

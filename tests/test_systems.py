@@ -47,20 +47,22 @@ def test_classify_circle(doubling):
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_classify_circle_matches_point_walk(k):
+def test_classify_circle_matches_point_walk(k, monkeypatch):
     # the integer residue walk against the Fraction walk, on every a/q, q < 80;
-    # then the state walk on a k-cycle, a 2-cycle and a fixed point
+    # then the state walk on a k-cycle, a 2-cycle and a fixed point, each
+    # with the walk cut at 0, 3 and the default 4096 steps
     sys = sc.CircleTimesK(k)
     points = {Fraction(a, q) for q in range(1, 80) for a in range(q)}
-    for value in sorted(points):
-        x = sc.RationalPoint(value)
-        for steps in (0, 3, 4096):
-            assert sc.classify(sys, x, steps) == ref_classify(sys, x, steps)
     perm = sc.PermutationSystem(tuple(range(1, k)) + (0, k + 1, k, k + 2))
-    for s in range(perm.size):
-        for steps in (0, 3, 4096):
+    assert systems._MAX_STEPS == 4096
+    for steps in (0, 3, 4096):
+        monkeypatch.setattr(systems, "_MAX_STEPS", steps)
+        for value in sorted(points):
+            x = sc.RationalPoint(value)
+            assert sc.classify(sys, x) == ref_classify(sys, x, steps)
+        for s in range(perm.size):
             x = sc.StatePoint(s)
-            assert sc.classify(perm, x, steps) == ref_classify(perm, x, steps)
+            assert sc.classify(perm, x) == ref_classify(perm, x, steps)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -122,16 +124,18 @@ def test_default_samples_circle_walks_no_points(k, monkeypatch):
     assert pts[: len(per)] == per
 
 
-def test_classify_checks_point(doubling, golden_mean, perm3):
+def test_classify_checks_point(doubling, golden_mean, perm3, monkeypatch):
+    monkeypatch.setattr(systems, "_MAX_STEPS", 0)
     for sys, x in [
         (doubling, sc.StatePoint(0)),
         (doubling, sc.WordPoint((), (0,))),
         (golden_mean, sc.rational(1, 3)),
         (perm3, sc.StatePoint(3)),
     ]:
-        for walk in (sc.classify, ref_classify):
-            with pytest.raises(sc.KindMismatch):
-                walk(sys, x, 0)
+        with pytest.raises(sc.KindMismatch):
+            sc.classify(sys, x)
+        with pytest.raises(sc.KindMismatch):
+            ref_classify(sys, x, 0)
 
 
 def test_rational_normalizes():
