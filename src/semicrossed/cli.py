@@ -117,6 +117,22 @@ def _value(toks: list[str], i: int, where: str) -> str:
     return toks[i]
 
 
+def _one_value(toks: list[str], where: str) -> str:
+    """The value of a key that takes exactly one, or ConfigError naming the line."""
+    if len(toks) > 2:
+        raise ConfigError(f"{where}: {toks[0]} takes one value, got {' '.join(toks[1:])!r}")
+    return _value(toks, 1, where)
+
+
+def _parse_fraction(tok: str, where: str) -> Fraction:
+    """An integer or p/q, or ConfigError naming the token."""
+    num, _, den = tok.partition("/")
+    den = _parse_int(den, where) if "/" in tok else 1
+    if den == 0:
+        raise ConfigError(f"{where}: zero denominator in {tok!r}")
+    return Fraction(_parse_int(num, where), den)
+
+
 def _tokenize(text: str) -> list[tuple[int, list[str]]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,11 +159,9 @@ def _parse_system(body: list[tuple[int, list[str]]]) -> System:
         where = f"line {lineno}"
         key = toks[0]
         if key == "kind":
-            if len(toks) != 2:
-                raise ConfigError(f"{where}: kind takes one value")
-            kind = toks[1]
+            kind = _one_value(toks, where)
         elif key == "k":
-            k = _parse_int(_value(toks, 1, where), where)
+            k = _parse_int(_one_value(toks, where), where)
         elif key == "row":
             rows.append(tuple(_parse_int(t, where) for t in toks[1:]))
         elif key == "images":
@@ -180,7 +194,7 @@ def _parse_budgets(body: list[tuple[int, list[str]]]) -> Budgets:
         key = toks[0]
         if key not in _BUDGET_KEYS:
             raise ConfigError(f"{where}: unknown budgets key {key!r}")
-        vals[_BUDGET_KEYS[key]] = _parse_int(_value(toks, 1, where), where)
+        vals[_BUDGET_KEYS[key]] = _parse_int(_one_value(toks, where), where)
     return Budgets(**vals)
 
 
@@ -209,7 +223,7 @@ def _parse_function(sys_: System, toks: list[str], where: str):
             raise ConfigError(f"{where}: cyl takes word/value pairs")
         values = {}
         for i in range(0, len(pairs), 2):
-            word = tuple(int(c) for c in pairs[i])
+            word = tuple(_parse_int(c, where) for c in pairs[i])
             values[word] = _parse_complex(pairs[i + 1], where)
         return CylinderFunction.from_values(depth, values)
     if kind == "tab":
@@ -290,6 +304,7 @@ def parse_config(text: str) -> Config:
 
 
 def _parse_point(sys_: System, tok: str):
+    where = f"point {tok!r}"
     if tok.startswith("word:"):
         body = tok[5:]
         if "," not in body:
@@ -297,31 +312,23 @@ def _parse_point(sys_: System, tok: str):
         pre, cyc = body.split(",", 1)
         if not cyc:
             raise ConfigError("word points need a nonempty cycle")
-        return WordPoint(tuple(int(c) for c in pre), tuple(int(c) for c in cyc))
+        return WordPoint(*(tuple(_parse_int(c, where) for c in part) for part in (pre, cyc)))
     if tok.startswith("state:"):
-        return StatePoint(int(tok[6:]))
-    if "/" in tok:
-        num, den = tok.split("/", 1)
-        return RationalPoint(Fraction(int(num), int(den)))
-    return RationalPoint(Fraction(int(tok)))
+        return StatePoint(_parse_int(tok[6:], where))
+    return RationalPoint(_parse_fraction(tok, where))
 
 
 def _parse_chooser(tok: str):
     if tok == "min":
         return AlwaysMin()
     if tok.startswith("seeded:"):
-        return SeededRandom(int(tok.split(":", 1)[1]))
+        return SeededRandom(_parse_int(tok.split(":", 1)[1], f"chooser {tok!r}"))
     raise ConfigError(f"unknown chooser {tok!r} (use min or seeded:N)")
 
 
 def _parse_lambda(tok: str) -> complex:
     if tok.startswith("angle:"):
-        frac = tok.split(":", 1)[1]
-        if "/" in frac:
-            num, den = frac.split("/", 1)
-            turn = Fraction(int(num), int(den))
-        else:
-            turn = Fraction(int(frac))
+        turn = _parse_fraction(tok.split(":", 1)[1], f"lambda {tok!r}")
         return complex(np.exp(2j * np.pi * float(turn)))
     return _parse_complex(tok, "lambda")
 
@@ -338,14 +345,15 @@ def _parse_repspec(sys_: System, tok: str):
     # word:<pre,cyc> and state:<n> points hold a colon, and so does seeded:N
     cut = 2 if parts and parts[0] in ("word", "state") else 1
     pt, rest = ":".join(parts[:cut]), parts[cut:]
+    where = f"rep spec {tok!r}"
     if kind == "orbit" and len(rest) == 1:
-        return OrbitTruncation(_parse_point(sys_, pt), int(rest[0]))
+        return OrbitTruncation(_parse_point(sys_, pt), _parse_int(rest[0], where))
     if kind == "periodic" and rest:
         return PeriodicOrbitRep(_parse_point(sys_, pt), _parse_lambda(":".join(rest)))
     if kind in ("bilateral", "backward") and len(rest) >= 2:
         lift = _parse_lift(sys_, pt, ":".join(rest[:-1]))
         rep = BilateralWindowRep if kind == "bilateral" else BackwardOrbitRep
-        return rep(lift, int(rest[-1]))
+        return rep(lift, _parse_int(rest[-1], where))
     raise ConfigError(
         "rep specs: orbit:<pt>:<n> | periodic:<pt>:<lambda> | "
         "bilateral:<pt>:<chooser>:<M> | backward:<pt>:<chooser>:<n>"
@@ -379,7 +387,7 @@ def _cmd_classify(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
 def _cmd_lift(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
     if len(args) not in (2, 3):
         raise ConfigError("usage: lift <point> <chooser> [depth]")
-    depth = int(args[2]) if len(args) == 3 else 8
+    depth = _parse_int(args[2], "lift depth") if len(args) == 3 else 8
     xt = _parse_lift(cfg.system, args[0], args[1])
     rows = [["key", "value"]]
     for j in range(1, depth + 1):

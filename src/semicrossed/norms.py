@@ -4,16 +4,31 @@ The norm of a semicrossed element is the larger of two suprema: orbit
 representations over all points (estimated from below by sampled truncations,
 bounded above by the coefficient l1 sum) and periodic-orbit representations
 over all periodic points and unit scalars (sampled on a lambda grid with a
-Lipschitz certificate).  Both scans SVD each distinct operator once: sample
-points whose coefficient values agree byte for byte give the same matrices,
-so only the first of them is assembled, certified and SVD'd.  Both also
-skip, with proof, the SVDs that cannot move their result: a banded LDL^H
-(``_certify_below``) shows a truncation or a periodic cell below a floor
-that the scan's own SVDs have already reached.  The comparison helpers
-measure, at finite size, the identities that make those families cofinal:
-the periodic-vector transfer, the bilateral-window versus orbit-supremum
-agreement, and the isometric embedding into the extension's crossed
-product.
+Lipschitz certificate).  Every lower end is a norm of some representation, so
+it holds outright.  Of the upper ends, the l1 sum holds for every point; the
+Lipschitz grid end holds only for the sampled cycles, and on the circle it
+can miss the norm (``1 - e(100x)`` on x -> 2x reads 1.999378, while its
+truncation at 1/200 has norm 2).
+
+Elements of band <= 1 on a shift of finite type or a permutation take
+neither scan (``_pivot_norm``).  Their lower end starts from one SVD per
+sampled cycle y at the lambda* that maximizes ||P_y(lambda)||, which is at
+least every grid angle's value and, since each truncation at y compresses
+the block Laurent operator with symbol P_y, every ||M_n(y)||: the ladder and
+the grid could add nothing.  Their upper end is a pivot-graph certificate: a
+table over the states of the system, checked exactly, that bounds every LDL^H
+pivot of T^2 I - M_n M_n^H at every point, so it holds for all points.  The
+circle and bands >= 2 keep the two scans.
+
+Both scans SVD each distinct operator once: sample points whose coefficient
+values agree byte for byte give the same matrices, so only the first of them
+is assembled, certified and SVD'd.  Both also skip, with proof, the SVDs
+that cannot move their result: a banded LDL^H (``_certify_below``) shows a
+truncation or a periodic cell below a floor that the scan's own SVDs have
+already reached.  The comparison helpers measure, at finite size, the
+identities that make those families cofinal: the periodic-vector transfer,
+the bilateral-window versus orbit-supremum agreement, and the isometric
+embedding into the extension's crossed product.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ import numpy as np
 from .elements import Element, l1_upper_bound, require_semicrossed
 from .errors import NonFinite, NotPeriodic, WindowTooSmall
 from .extension import ExtPoint, periodic_lift
-from .functions import NormBracket, _orbit_values, ext_sup_norm
+from .functions import NormBracket, _orbit_values, ext_sup_norm, validate_base
 from .reps import (
     _check_lambda,
     _cycle,
@@ -39,7 +54,16 @@ from .reps import (
     orbit_bands,
     orbit_matrix,
 )
-from .systems import Point, System, classify, point_key
+from .systems import (
+    PermutationSystem,
+    Point,
+    ShiftOfFiniteType,
+    StatePoint,
+    System,
+    admissible_words,
+    classify,
+    point_key,
+)
 
 
 def _require_finite(mat: np.ndarray) -> None:
@@ -376,6 +400,294 @@ def _certify_below(
     return ok
 
 
+# ---------------------------------------------------------------------------
+# band <= 1 on shifts of finite type and permutations: the pivot certificate
+#
+# For A = f_0 + U f_1 and the orbit x_0, x_1, ... of any point, M_n M_n^H is
+# tridiagonal: row r has diagonal A0(x_r) + A1(x_{r-1}) (the second term
+# from r = 1 on), A_k = |f_k|^2, and subdiagonal f_1(x_{r-1}) conj(f_0(x_{r-1})).
+# So T^2 I - M_n M_n^H has the LDL^H pivots p_0 = T^2 - A0(x_0) and
+#     p_r = T^2 - A0(x_r) - A1(x_{r-1}) - A1(x_{r-1}) A0(x_{r-1}) / p_{r-1},
+# ||M_n|| < T exactly when all n are positive, and p_r grows with p_{r-1}.
+# The values at x_r depend only on its state: on a shift of finite type the
+# admissible word of length d, the largest coefficient depth, that x_r
+# starts with, and consecutive states are an edge u -> v, v = u[1:] + (b,);
+# on a permutation the state itself, with the edges s -> images[s].  A table
+# F > 0 over the states with F(v) <= T^2 - A0(v) and
+#     F(v) F(u) <= (T^2 - A0(v) - A1(u)) F(u) - A1(u) A0(u)
+# on every edge gives p_r >= F(state of x_r) > 0 along every orbit, by
+# induction on r.  So every truncation at every point, sampled or not, has
+# norm below T, and so has every orbit representation, and every periodic
+# one, which they dominate.  ``_exact_pass`` checks the three conditions on
+# the exact values of the stored floats, as integers at one power-of-two
+# scale, so the upper end needs no slack.
+#
+# The table is the min recursion F(v) <- min(F(v), min over u -> v of the
+# pivot after u), from F = T^2 - A0, run in floats at T (1 - _PIVOT_SHRINK)
+# until no entry moves.  After k sweeps F(v) is the least last pivot of a
+# word of at most k + 1 states ending at v.  An entry <= 0 traces back
+# through the minimizing predecessors to such a word; every admissible word
+# starts the orbit of some point, so the truncation along it is a leading
+# block of an orbit truncation, and its norm is a lower end.
+#
+# The search starts from the periodic samples.  For a cycle y of period p,
+# every orbit truncation at y is a compression of the block Laurent operator
+# whose symbol is P_y(lambda) (Boettcher & Silbermann, Analysis of Toeplitz
+# Operators), so ||M_n(y)|| <= max over |lambda| = 1 of ||P_y(lambda)||.  By
+# the Floquet argument above ``checks._oracle_periodic_scan``, ||P_y(lambda)||
+# grows with Re(lambda^p pi), pi = prod conj(f_0(y_i)) f_1(y_i), so it is
+# largest at lambda* with lambda*^p = exp(-i arg pi) (any lambda when
+# pi = 0).  One p x p SVD there is at least every grid angle's value and
+# every truncation at y, so the orbit ladder and the lambda grid add nothing
+# on this class.  The search tries T = lower (1 + _PIVOT_WIDTH) and, after
+# each refusal, max(lower, T) (1 + _PIVOT_WIDTH), so T always grows and a
+# pass right after a failing word leaves a bracket of relative width
+# _PIVOT_WIDTH; reaching the l1 sum stops it with that upper end.
+
+_PIVOT_WIDTH = 1e-3  # relative step of the search, and so the bracket's width
+_PIVOT_SHRINK = 1e-9  # the float recursion runs at T (1 - _PIVOT_SHRINK)
+_PIVOT_SWEEPS = 4096  # sweeps at one T before it counts as a failure without a witness
+
+
+def _state_graph(sys: System, el: Element):
+    """(index, vals, src, dst): the states (words or ints) by index, the
+    (2, S) values of f_0 and f_1 at each (zero for a missing power), and the
+    edges u -> v as index arrays sorted by v.  Every state has a predecessor:
+    the transition matrix has a 1 in every column."""
+    bases = [(k, f.base) for k, f in el.coeffs]
+    for _, g in bases:
+        validate_base(sys, g)
+    if isinstance(sys, PermutationSystem):
+        index = {s: s for s in range(sys.size)}
+        vals = np.zeros((2, sys.size), dtype=complex)
+        for k, g in bases:
+            vals[k] = g.values
+        src, dst = np.arange(sys.size), np.array(sys.images)
+    else:
+        index = {w: i for i, w in enumerate(admissible_words(sys, max(g.depth for _, g in bases)))}
+        vals = np.zeros((2, len(index)), dtype=complex)
+        for k, g in bases:
+            table = g.as_dict()
+            vals[k] = [table[w[: g.depth]] for w in index]
+        ends = [(w, b) for w in index for b, t in enumerate(sys.transition[w[-1]]) if t]
+        src = np.array([index[w] for w, _ in ends])
+        dst = np.array([index[w[1:] + (b,)] for w, b in ends])
+    order = np.argsort(dst, kind="stable")
+    return index, vals, src[order], dst[order]
+
+
+def _cycle_states(sys: System, y: Point, period: int, index) -> list[int]:
+    """Indices of the states a periodic point visits along its cycle."""
+    if isinstance(y, StatePoint):
+        out = [y.state]
+        for _ in range(period - 1):
+            out.append(sys.images[out[-1]])
+        return out
+    depth = len(next(iter(index)))
+    return [index[tuple(y.symbol(i + j) for j in range(depth))] for i in range(period)]
+
+
+def _pivot_sweeps(a0, a1, src, dst, t: float, trace: bool):
+    """Run the min recursion at t (1 - _PIVOT_SHRINK) on the squared values
+    a0, a1.  Returns (table, None) when no entry moves, (None, word) when an
+    entry falls to <= 0, and (None, None) after _PIVOT_SWEEPS sweeps.  With
+    ``trace`` the word lists the states of a word whose last float pivot is
+    the least such entry, found by walking back through the minimizing
+    predecessors of every sweep's table; without it the word is empty."""
+    t2 = (t * (1.0 - _PIVOT_SHRINK)) ** 2
+    starts = np.searchsorted(dst, np.arange(len(a0)))
+    a = t2 - a0[dst] - a1[src]
+    c = a1[src] * a0[src]
+    history = [t2 - a0]
+    for _ in range(_PIVOT_SWEEPS):
+        table = history[-1]
+        if not np.all(table > 0):
+            return None, (_walk_back(a, c, src, dst, history) if trace else [])
+        with np.errstate(over="ignore"):  # a tiny pivot gives -inf, which fails
+            new = np.minimum(table, np.minimum.reduceat(a - c / table[src], starts))
+        if np.array_equal(new, table):
+            return table, None
+        if trace:
+            history.append(new)
+        else:
+            history = [new]
+    return None, None
+
+
+def _walk_back(a, c, src, dst, history) -> list[int]:
+    """The word behind the least entry of the last table, as ``_pivot_sweeps``."""
+    v = int(np.argmin(history[-1]))
+    word = [v]
+    for j in range(len(history) - 1, 0, -1):
+        if history[j][v] == history[j - 1][v]:
+            continue  # carried over from the sweep before
+        ins = np.flatnonzero(dst == v)
+        with np.errstate(over="ignore"):  # the sweep's own operations, so its bits
+            cand = a[ins] - c[ins] / history[j - 1][src[ins]]
+        v = int(src[ins[np.argmin(cand)]])
+        word.append(v)
+    return word[::-1]
+
+
+def _dyadic(x: np.ndarray, scale: int) -> np.ndarray:
+    """Integers X (an object array) with x = X 2^-scale exactly; ``scale``
+    must be at least ``_scale_needed(x)``."""
+    m, e = np.frexp(x)
+    mant = np.ldexp(m, 53).astype(np.int64)
+    shift = np.where(mant == 0, 0, e - 53 + scale)
+    return mant.astype(object) << shift.astype(object)
+
+
+def _scale_needed(x: np.ndarray) -> int:
+    m, e = np.frexp(x)
+    return int(np.max(np.where(m == 0, -(2**20), 53 - e), initial=-(2**20)))
+
+
+def _exact_pass(t: float, vals: np.ndarray, src, dst, table: np.ndarray, e: int) -> bool:
+    """Whether the table 2^(2e) ``table`` certifies T = t exactly: F > 0,
+    F(v) <= T^2 - A0(v), and the edge inequality on every edge, with A_k the
+    exact |f_k|^2 of the stored values, all as integers at the scale 2^-2s."""
+    parts = np.concatenate([[t], vals.real.ravel(), vals.imag.ravel()])
+    s = max(_scale_needed(parts), -((2 * e - _scale_needed(table)) // 2), 0)
+    re, im = _dyadic(vals.real, s), _dyadic(vals.imag, s)
+    sq = re * re + im * im  # (2, S): A0 and A1 at the scale 2^-2s
+    a0, a1 = sq[0], sq[1]
+    tt = int(_dyadic(np.array([t]), s)[0]) ** 2
+    f = _dyadic(table, 2 * s + 2 * e)
+    fu, fv = f[src], f[dst]
+    if not (np.all(f > 0) and np.all(f <= tt - a0)):
+        return False
+    return bool(np.all(fv * fu <= (tt - a0[dst] - a1[src]) * fu - a1[src] * a0[src]))
+
+
+def _cycle_norms(lanes):
+    """[(turn, norm)] for the (2, p) values of f_0 and f_1 along each cycle:
+    the norm of P_y(lambda*), lambda* = exp(2 pi i turn), in the periodic
+    scan's placement, one batched SVD per period."""
+    found = {}
+    for p in sorted({v.shape[1] for v in lanes}):
+        group = [(i, v) for i, v in enumerate(lanes) if v.shape[1] == p]
+        turns = []
+        for _, (f0, f1) in group:
+            if not (f0.all() and f1.all()):
+                turns.append(0.0)  # pi = 0: every lambda gives the same norm
+            else:  # arg pi as a sum of angles, so that no product over- or underflows
+                arg = math.fsum(np.angle(f1).tolist()) - math.fsum(np.angle(f0).tolist())
+                turns.append((-arg / (2 * math.pi * p)) % 1.0)
+        lam = np.exp(2j * np.pi * np.array(turns))
+        cols = np.arange(p)
+        mats = np.zeros((len(group), p, p), dtype=complex)
+        with np.errstate(over="ignore"):  # entries sharing a position (p = 1) may overflow
+            for k in (0, 1):
+                vk = np.stack([v[k] for _, v in group])
+                mats[:, (cols + k) % p, cols] += lam[:, None] ** k * vk
+        _require_finite(mats)
+        for (i, _), turn, val in zip(group, turns, np.linalg.svd(mats, compute_uv=False)[:, 0]):
+            found[i] = (turn, float(val))
+    return [found[i] for i in range(len(lanes))]
+
+
+def _pivot_norm(
+    sys: System,
+    el: Element,
+    points: Sequence[Point],
+    periodic_points: Sequence[Point],
+    n_max: int,
+    grid_size: int,
+):
+    """(estimate, certificate) of an element of band <= 1 on a shift of
+    finite type or a permutation.
+
+    The lower end is the largest of ||P_y(lambda*)|| over the distinct cycles
+    among the samples, the orbit ladder at the sample points that are not
+    periodic, and the truncations along the failing words of the search.
+    The upper end is the first T that ``_exact_pass`` accepts, or the l1 sum.
+    The certificate is (T, states, table, e), the accepted table being
+    2^(2e) ``table``, or None when the upper end is the l1 sum.
+    """
+    require_semicrossed(el)
+    if not points:
+        raise ValueError("need at least one sample point")
+    band = el.max_power
+    if n_max < band + 1:
+        raise WindowTooSmall(f"n_max must be at least the band width {band + 1}")
+    if not periodic_points:
+        raise ValueError("need at least one periodic sample")
+    if grid_size < 8:
+        raise ValueError("grid_size must be >= 8")
+    cycles = {}
+    for y in periodic_points:
+        cls = classify(sys, y)
+        if not cls.is_periodic:
+            raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
+        cycles.setdefault(point_key(y), (y, cls.period))
+    aperiodic = []
+    for x in points:  # a periodic orbit sample is one more cycle
+        if point_key(x) in cycles:
+            continue
+        cls = classify(sys, x)
+        if cls.is_periodic:
+            cycles[point_key(x)] = (x, cls.period)
+        else:
+            aperiodic.append(x)
+    if not el.coeffs:  # the zero element
+        return NormEstimate(NormBracket(0.0, 0.0, "", "coefficient l1 sum"), (), "periodic"), None
+    l1 = l1_upper_bound(el)
+    if not math.isfinite(l1):
+        raise NonFinite("bracket endpoints must be finite")
+    index, vals, src, dst = _state_graph(sys, el)
+    # cycles along which the values repeat an earlier one's byte for byte share its SVD
+    walks = ((y, vals[:, _cycle_states(sys, y, p, index)]) for y, p in cycles.values())
+    lanes = list(_distinct(walks))
+    traces = []
+    lower, witness, detail = 0.0, "periodic", ""
+    for (y, _), (turn, val) in zip(lanes, _cycle_norms([v for _, v in lanes])):
+        label = f"y={_point_label(y)} angle={turn:.6f}"
+        traces.append((f"cycle {label}", val))
+        if val > lower:
+            lower, detail = val, f"periodic {label}"
+    if aperiodic:
+        ladder = orbit_norm_estimate(sys, el, aperiodic, n_max)
+        traces += [(f"orbit {k}", v) for k, v in ladder.traces]
+        if ladder.bracket.lower > lower:
+            lower, witness, detail = ladder.bracket.lower, "orbit", ladder.witness
+    states = list(index)
+    # the search runs on values rescaled by a power of two, so no square overflows
+    e = int(np.frexp(np.max(np.abs(vals.view(float))))[1])
+    a0, a1 = np.abs(np.ldexp(vals.view(float), -e).view(complex)) ** 2
+    cert = None
+    # zero at every sampled cycle: start where a failing word has room to show
+    t = lower * (1.0 + _PIVOT_WIDTH) or l1 * _PIVOT_WIDTH
+    while t < l1:
+        table, word = _pivot_sweeps(a0, a1, src, dst, math.ldexp(t, -e), trace=False)
+        if table is not None and _exact_pass(t, vals, src, dst, table, e):
+            traces.append((f"pivot states={len(states)} pass", t))
+            cert = (t, states, table, e)
+            break
+        traces.append((f"pivot states={len(states)} fail", t))
+        if word is not None:  # a float pivot fell to <= 0: find its word
+            word = _pivot_sweeps(a0, a1, src, dst, math.ldexp(t, -e), trace=True)[1]
+            val = spectral_norm(np.diag(vals[0, word]) + np.diag(vals[1, word[:-1]], -1))
+            if val > lower:
+                lower, witness = val, "orbit"
+                detail = f"orbit word={_word_label(states, word)} n={len(word)}"
+        t = max(lower, t) * (1.0 + _PIVOT_WIDTH)
+    if cert is None:  # l1 dominates every truncation; max() only absorbs the SVD's rounding
+        bracket = NormBracket(lower, max(l1, lower), detail, "coefficient l1 sum")
+    else:
+        bracket = NormBracket(lower, cert[0], detail, "pivot-graph certificate")
+    return NormEstimate(bracket, tuple(traces), witness), cert
+
+
+def _word_label(states, word: list[int]) -> str:
+    """The symbols of the word that a walk through the states reads: on a
+    shift, the first state's word and the last symbol of each later one; on
+    a permutation, the states."""
+    if isinstance(states[0], tuple):
+        return "".join(map(str, states[word[0]] + tuple(states[s][-1] for s in word[1:])))
+    return ",".join(str(states[s]) for s in word)
+
+
 def periodic_norm_estimate(
     sys: System,
     el: Element,
@@ -490,8 +802,11 @@ def semicrossed_norm(
 ) -> NormEstimate:
     """Combined bracket: max of the family lower bounds, min of their uppers.
 
-    The witness records which family achieved the lower bound.
+    The witness records which family achieved the lower bound.  Band <= 1
+    on a shift of finite type or a permutation takes ``_pivot_norm``.
     """
+    if isinstance(sys, (ShiftOfFiniteType, PermutationSystem)) and el.max_power <= 1:
+        return _pivot_norm(sys, el, points, periodic_points, n_max, grid_size)[0]
     a = orbit_norm_estimate(sys, el, points, n_max)
     b = periodic_norm_estimate(sys, el, periodic_points, grid_size)
     if b.bracket.lower >= a.bracket.lower:

@@ -622,3 +622,44 @@ def brute_tied_subsets(diags, n: int, tol: float = 1e-12) -> set:
         ):
             found.add(frozenset(s))
     return found
+
+
+# ---------------------------------------------------------------------------
+# exact replay of a pivot-graph certificate, in fractions alone
+
+
+def pivot_graph(system, coeffs):
+    """(states, edges, a0, a1) of ("sft", transition) or ("perm", images),
+    with coeffs {power: {word: value}} (cylinders of any depth) or
+    {power: [value per state]}: the words of the largest depth (or the
+    states), the edges u -> v of consecutive ones, and |f_0|^2, |f_1|^2 at
+    each state as Fractions of the stored floats."""
+    kind, data = system
+    if kind == "perm":
+        states = list(range(len(data)))
+        edges = [(s, data[s]) for s in states]
+        at = {k: (lambda s, t=table: t[s]) for k, table in coeffs.items()}
+    else:
+        depths = {k: len(next(iter(table))) for k, table in coeffs.items()}
+        states = brute_admissible_words(data, max(depths.values()))
+        edges = [(u, u[1:] + (b,)) for u in states for b in range(len(data)) if data[u[-1]][b]]
+        at = {k: (lambda w, t=table, d=depths[k]: t[w[:d]]) for k, table in coeffs.items()}
+
+    def square(k, s):
+        c = complex(at[k](s)) if k in at else 0j
+        return Fraction(c.real) ** 2 + Fraction(c.imag) ** 2
+
+    return states, edges, {s: square(0, s) for s in states}, {s: square(1, s) for s in states}
+
+
+def replay_pivot_certificate(graph, t: float, table: dict) -> bool:
+    """Whether F = table (state -> Fraction) certifies sup_x ||pi_x(A)|| <= t:
+    F > 0, F(v) <= t^2 - a0(v), and on every edge u -> v
+    F(v) F(u) <= (t^2 - a0(v) - a1(u)) F(u) - a1(u) a0(u)."""
+    states, edges, a0, a1 = graph
+    t2 = Fraction(t) ** 2
+    if not all(0 < table[s] <= t2 - a0[s] for s in states):
+        return False
+    return all(
+        table[v] * table[u] <= (t2 - a0[v] - a1[u]) * table[u] - a1[u] * a0[u] for u, v in edges
+    )

@@ -63,8 +63,8 @@ def test_readme_demo_norm_golden(capsys):
 
 
 def test_demo_sft_norm_golden(capsys):
-    # a band-1 cylinder element on the golden mean shift, whose samples of
-    # period 4-6 go through the skip certificate
+    # a band-1 cylinder element on the golden mean shift, whose upper end is
+    # the pivot-graph certificate
     code, out = run_cli(capsys, "--config", str(DATA / "demo_sft.cfg"), "norm", "S")
     assert code == 0
     assert out == (DATA / "demo_sft_norm_S.tsv").read_text()
@@ -294,6 +294,57 @@ def test_config_line_without_value(capsys, tmp_path, text, row):
     code, out = run_cli(capsys, "--config", str(cfg), "verify", "transfer")
     assert code == 2
     assert out == f"error\tConfigError\t{row} is missing a value\n"
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("system {\n kind circle\n k 2 3\n}\n", "line 3: k takes one value, got '2 3'"),
+        ("budgets {\n nmax 16 99\n}\n", "line 2: nmax takes one value, got '16 99'"),
+        ("budgets {\n nmax 16\n grid 16 8\n}\n", "line 3: grid takes one value, got '16 8'"),
+        ("budgets {\n window 8 x\n}\n", "line 2: window takes one value, got '8 x'"),
+        ("budgets {\n seed 7 7\n}\n", "line 2: seed takes one value, got '7 7'"),
+    ],
+    ids=["k", "nmax", "grid", "window", "seed"],
+)
+def test_config_line_with_extra_value(capsys, tmp_path, text, row):
+    # trailing tokens were dropped: `k 2 3` built x -> 2x
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text)
+    code, out = run_cli(capsys, "--config", str(cfg), "verify", "transfer")
+    assert code == 2
+    assert out == f"error\tConfigError\t{row}\n"
+
+
+def test_cylinder_word_not_an_integer(capsys, tmp_path):
+    cfg = tmp_path / "cyl.cfg"
+    cfg.write_text(
+        "system {\n kind sft\n row 1 1\n row 1 0\n}\nelement S {\n term 0 cyl 1 0 1 x 2\n}\n"
+    )
+    code, out = run_cli(capsys, "--config", str(cfg), "classify", "word:,0")
+    assert code == 2
+    assert out == "error\tConfigError\tline 7: expected integer, got 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "args, row",
+    [
+        (["lift", "1/3", "min", "x"], "lift depth: expected integer, got 'x'"),
+        (["classify", "1/x"], "point '1/x': expected integer, got 'x'"),
+        (["repmat", "orbit:1/3:q", "F"], "rep spec 'orbit:1/3:q': expected integer, got 'q'"),
+        (["lift", "1/3", "seeded:x"], "chooser 'seeded:x': expected integer, got 'x'"),
+        (
+            ["repmat", "periodic:1/3:angle:1/x", "F"],
+            "lambda 'angle:1/x': expected integer, got 'x'",
+        ),
+    ],
+    ids=["lift-depth", "point", "repspec", "chooser", "lambda"],
+)
+def test_command_argument_not_an_integer(capsys, demo_cfg, args, row):
+    # each printed an untyped ValueError from a bare int() that named no argument
+    code, out = run_cli(capsys, "--config", demo_cfg, *args)
+    assert code == 2
+    assert out == f"error\tConfigError\t{row}\n"
 
 
 def test_budgets_out_of_range_row(capsys, tmp_path):

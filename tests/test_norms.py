@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 
 import semicrossed as sc
 from helpers import (
+    brute_admissible_words,
     cylinder_element,
     dense_orbit_norm_estimate,
+    pivot_graph,
     power_iteration_norm,
+    ref_orbit_matrix,
     ref_periodic_cells,
     ref_periodic_norm_estimate,
+    replay_pivot_certificate,
 )
 from semicrossed import functions, norms, systems
 from semicrossed.corpus import random_trig
@@ -355,10 +360,11 @@ def test_estimates_validate_each_coefficient_once_per_point(golden_mean, monkeyp
     [sc.CircleTimesK(2), sc.golden_mean_shift(), sc.PermutationSystem((1, 2, 0))],
     ids=["circle", "sft", "permutation"],
 )
-def test_zero_element_bracket(sys):
+def test_zero_element_bracket(sys, monkeypatch):
     zero = sc.constant_element(sys, 0.0)
     assert zero.coeffs == ()
     pts, per = sc.default_samples(sys)
+    monkeypatch.setattr(norms, "_pivot_sweeps", lambda *a, **kw: pytest.fail("searched"))
     est = sc.semicrossed_norm(sys, zero, pts, per, 16, 16)
     assert (est.bracket.lower, est.bracket.upper) == (0.0, 0.0)
     periodic = sc.periodic_norm_estimate(sys, zero, per, 16)
@@ -941,3 +947,216 @@ def test_estimates_require_semicrossed(doubling):
         sc.orbit_norm_estimate(doubling, bad, [sc.rational(1, 3)], 16)
     with pytest.raises(sc.NotSemicrossed):
         sc.periodic_norm_estimate(doubling, bad, [sc.rational(1, 3)], 16)
+
+
+# ---------------------------------------------------------------------------
+# band <= 1 on shifts of finite type and permutations: the pivot certificate
+
+
+GOLDEN_MEAN = sc.golden_mean_shift()
+SFT3 = sc.ShiftOfFiniteType(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
+FULL2 = sc.ShiftOfFiniteType(((1, 1), (1, 1)))
+
+
+def seeded_cylinder_element(sys, depth: int, seed: int):
+    """Powers 0 and 1, depth-d cylinders with uniform complex values of
+    modulus scale at most 1 and 1/2 per part, from random.Random(seed)."""
+    rng = random.Random(seed)
+    words = brute_admissible_words(sys.transition, depth)
+    coeffs = {}
+    for k, scale in ((0, 1.0), (1, 0.5)):
+        vals = {w: complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for w in words}
+        coeffs[k] = sc.ext(1, sc.CylinderFunction.from_values(depth, vals))
+    return sc.element(sys, coeffs)
+
+
+def prime_cycle_words(transition, count: int = 6, seed: int = 5):
+    """Eventually periodic words whose cycles have the prime lengths 7 and 11
+    in turn: no orbit point lies among the default samples (period <= 6)."""
+    rng = random.Random(seed)
+    size = len(transition)
+    out = []
+    while len(out) < count:
+        cyc = [rng.randrange(size)]
+        for _ in range((7, 11)[len(out) % 2] - 1):
+            cyc.append(rng.choice([b for b in range(size) if transition[cyc[-1]][b]]))
+        if not transition[cyc[-1]][cyc[0]] or len(set(cyc)) == 1:
+            continue
+        pre = [rng.choice([a for a in range(size) if transition[a][cyc[0]]])]
+        for _ in range(rng.randint(2, 8)):
+            pre.insert(0, rng.choice([a for a in range(size) if transition[a][pre[0]]]))
+        out.append(sc.WordPoint(tuple(pre), tuple(cyc)))
+    return out
+
+
+def certificate_tables(sys, el, cert):
+    """The pivot graph from the raw tables, and the certificate's T and F."""
+    t, states, table, e = cert
+    if isinstance(sys, sc.PermutationSystem):
+        graph = pivot_graph(("perm", sys.images), {k: f.base.values for k, f in el.coeffs})
+    else:
+        graph = pivot_graph(("sft", sys.transition), {k: f.base.as_dict() for k, f in el.coeffs})
+    return graph, t, {s: Fraction(float(f)) * 2 ** (2 * e) for s, f in zip(states, table)}
+
+
+def assert_replay(sys, el, cert):
+    """The certificate replays exactly, and fails once one entry is raised just
+    past its edge inequality (and nothing else)."""
+    graph, t, table = certificate_tables(sys, el, cert)
+    assert replay_pivot_certificate(graph, t, table)
+    states, edges, a0, a1 = graph
+    u, v = next((u, v) for u, v in edges if u != v and a1[u] * a0[u] > 0)
+    t2 = Fraction(t) ** 2
+    room = ((t2 - a0[v] - a1[u]) * table[u] - a1[u] * a0[u]) / table[u]
+    raised = dict(table)
+    raised[v] = room * (1 + Fraction(1, 2**60))
+    assert 0 < raised[v] <= t2 - a0[v]
+    assert not replay_pivot_certificate(graph, t, raised)
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """Every certificate the engine accepts during the test, each replayed
+    by ``assert_replay`` as it is made."""
+    certs = []
+    engine = norms._pivot_norm
+
+    def replaying(sys, el, *args):
+        est, cert = engine(sys, el, *args)
+        if cert is not None:
+            assert_replay(sys, el, cert)
+            certs.append(cert)
+        return est, cert
+
+    monkeypatch.setattr(norms, "_pivot_norm", replaying)
+    return certs
+
+
+@pytest.mark.parametrize(
+    "sys,depth,seed",
+    [(GOLDEN_MEAN, 10, 0), (SFT3, 10, 0), (FULL2, 6, 1)],
+    ids=["golden-mean-d10", "sft3-d10", "full2-d6"],
+)
+def test_symbolic_upper_end_holds_off_the_samples(sys, depth, seed, replayed):
+    # The lambda-grid upper end held only for the sampled cycles: it read
+    # 1.517743, 1.584929 and 1.525309 on these elements, below the truncations
+    # at the prime-cycle words (1.556337, 1.679362, 1.552351).
+    el = seeded_cylinder_element(sys, depth, seed)
+    pts, per = sc.default_samples(sys)
+    est = sc.semicrossed_norm(sys, el, pts, per)
+    truncations = [
+        np.linalg.norm(ref_orbit_matrix(sys, w, el, 128), 2)
+        for w in prime_cycle_words(sys.transition)
+    ]
+    lower, upper = est.bracket.lower, est.bracket.upper
+    assert upper >= max(truncations)
+    assert (upper - lower) / lower <= 1e-3 + 1e-12
+    assert est.bracket.upper_method == "pivot-graph certificate"
+    assert [t for t, *_ in replayed] == [upper]
+
+
+def angle_scan(v0, v1, cycle, angles: int = 4096) -> float:
+    """max over the angles j / angles of ||D_0 + lambda Z D_1|| along a cycle
+    of states, Z the cyclic down shift."""
+    p = len(cycle)
+    lam = np.exp(2j * np.pi * np.arange(angles) / angles)
+    mats = np.zeros((angles, p, p), dtype=complex)
+    for i, s in enumerate(cycle):
+        mats[:, i, i] += v0[s]
+        mats[:, (i + 1) % p, i] += lam * v1[s]
+    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+
+
+def test_permutation_bracket_from_lambda_star_and_certificate(replayed):
+    sys = sc.PermutationSystem((1, 2, 0, 4, 3, 5))
+    rng = random.Random(3)
+    v0, v1 = ([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)] for _ in range(2))
+    el = sc.from_base(sys, sc.TabularFunction(tuple(v0)))
+    el = el + sc.from_base(sys, sc.TabularFunction(tuple(v1)), power=1)
+    states = [sc.StatePoint(s) for s in range(6)]
+    est = sc.semicrossed_norm(sys, el, states, states)
+    lower, upper = est.bracket.lower, est.bracket.upper
+    assert lower >= max(angle_scan(v0, v1, c) for c in ([0, 1, 2], [3, 4], [5])) - 1e-12
+    assert (upper - lower) / lower <= 1e-3 + 1e-12
+    assert est.bracket.upper_method == "pivot-graph certificate"
+    assert [t for t, *_ in replayed] == [upper]
+    assert not any(param.startswith("orbit") for param, _ in est.traces)
+
+
+def test_twin_cycles_share_one_lambda_star_svd(monkeypatch, replayed):
+    sys = sc.PermutationSystem((1, 2, 0, 4, 5, 3))
+    el = sc.from_base(sys, sc.TabularFunction((1.0, -2.0j, 0.5) * 2))
+    el = el + sc.from_base(sys, sc.TabularFunction((0.25, 1.0, 3.0) * 2), power=1)
+    stacked = []  # matrices per batched SVD
+    svd = np.linalg.svd
+    monkeypatch.setattr(norms.np.linalg, "svd", lambda a, **kw: stacked.append(len(a)) or svd(a, **kw))
+    twins = [sc.StatePoint(0), sc.StatePoint(3)]
+    alone = sc.semicrossed_norm(sys, el, twins[:1], twins[:1])
+    assert sc.semicrossed_norm(sys, el, twins, twins).bracket == alone.bracket
+    assert stacked == [1, 1]
+    stacked.clear()
+    # the three rotations of one cycle are three lanes; their twins add none
+    states = [sc.StatePoint(s) for s in range(6)]
+    assert sc.semicrossed_norm(sys, el, states, states).bracket.lower == alone.bracket.lower
+    assert stacked == [3] and len(replayed) == 3
+
+
+def test_pivot_traces_and_ladder_only_off_the_cycles(replayed):
+    el = seeded_cylinder_element(GOLDEN_MEAN, 3, 11)
+    pts, per = sc.default_samples(GOLDEN_MEAN)
+    est = sc.semicrossed_norm(GOLDEN_MEAN, el, pts, per)
+    params = [param for param, _ in est.traces]
+    assert sum(param.startswith("cycle y=") for param in params) == len(per)
+    assert not any(param.startswith("orbit") for param in params)
+    assert params[-1] == "pivot states=5 pass"
+    assert all(re.fullmatch(r"pivot states=5 fail", param) for param in params[len(per) : -1])
+    # a sample point off every cycle takes the orbit ladder, whose rows follow the cycles'
+    tail = sc.WordPoint((1,), (0,))
+    with_tail = sc.semicrossed_norm(GOLDEN_MEAN, el, pts + [tail], per)
+    ladder = sc.orbit_norm_estimate(GOLDEN_MEAN, el, [tail], 256)
+    rows = [(param, v) for param, v in with_tail.traces if param.startswith("orbit ")]
+    assert rows == [(f"orbit {k}", v) for k, v in ladder.traces]
+    assert with_tail.bracket.lower >= max(est.bracket.lower, ladder.bracket.lower)
+    assert len(replayed) == 2
+
+
+def test_pivot_search_from_cycles_that_read_zero():
+    # U f with f the indicator of 00000001, a word on no cycle of period <= 6:
+    # every sampled cycle reads 0, and the failing word's truncation finds 1
+    words = brute_admissible_words(GOLDEN_MEAN.transition, 8)
+    f = sc.CylinderFunction.from_values(8, {w: float(w == (0,) * 7 + (1,)) for w in words})
+    el = sc.from_base(GOLDEN_MEAN, f, power=1)
+    pts, per = sc.default_samples(GOLDEN_MEAN)
+    est = sc.semicrossed_norm(GOLDEN_MEAN, el, pts, per)
+    assert all(v == 0.0 for param, v in est.traces if param.startswith("cycle"))
+    assert (est.bracket.lower, est.bracket.upper) == (1.0, 1.0)
+    assert est.witness == "orbit" and est.bracket.lower_witness.startswith("orbit word=")
+
+
+def test_pivot_upper_end_needs_the_exact_check(perm3, monkeypatch, replayed):
+    el = sc.from_base(perm3, sc.TabularFunction((1.0, 0.5j, -0.25)))
+    el = el + sc.from_base(perm3, sc.TabularFunction((0.5, 0.5, 1.0)), power=1)
+    states = [sc.StatePoint(s) for s in range(3)]
+    est, cert = norms._pivot_norm(perm3, el, states, states, 256, 256)
+    assert est.bracket.upper_method == "pivot-graph certificate" and replayed == [cert]
+    # every float pass refused: the search climbs to the l1 sum
+    monkeypatch.setattr(norms, "_exact_pass", lambda *a: False)
+    est, cert = norms._pivot_norm(perm3, el, states, states, 256, 256)
+    assert cert is None and est.bracket.upper == sc.l1_upper_bound(el)
+    assert est.bracket.upper_method == "coefficient l1 sum"
+
+
+def test_pivot_path_typed_errors():
+    el = seeded_cylinder_element(GOLDEN_MEAN, 2, 1)
+    pts, per = sc.default_samples(GOLDEN_MEAN)
+    with pytest.raises(sc.NotPeriodic):
+        sc.semicrossed_norm(GOLDEN_MEAN, el, pts, [sc.WordPoint((1,), (0,))])
+    with pytest.raises(sc.WindowTooSmall):
+        sc.semicrossed_norm(GOLDEN_MEAN, el, pts, per, n_max=1)
+    with pytest.raises(ValueError, match="grid_size must be >= 8"):
+        sc.semicrossed_norm(GOLDEN_MEAN, el, pts, per, grid_size=4)
+    with pytest.raises(sc.NotSemicrossed):
+        sc.semicrossed_norm(GOLDEN_MEAN, sc.shift_element(GOLDEN_MEAN, -1), pts, per)
+    huge = sc.ext(1, sc.constant_base(GOLDEN_MEAN, 1e308))
+    with pytest.raises(sc.NonFinite):
+        sc.semicrossed_norm(GOLDEN_MEAN, sc.element(GOLDEN_MEAN, {0: huge, 1: huge}), pts, per)
