@@ -44,6 +44,7 @@ from .elements import (
 )
 from .errors import (
     BadLambda,
+    BadParameter,
     ConfigError,
     DepthTooLarge,
     InvalidMatrix,

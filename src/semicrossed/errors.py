@@ -41,6 +41,10 @@ class OrbitCollision(SemicrossedError, ValueError):
     """Forward orbit repeats inside the inspected window."""
 
 
+class BadParameter(SemicrossedError, ValueError):
+    """System or function parameter out of range: k < 2, a non-permutation, depth < 1."""
+
+
 class BadLambda(SemicrossedError, ValueError):
     """Unit-modulus scalar expected."""
 

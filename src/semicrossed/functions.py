@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import KindMismatch, NonFinite
+from .errors import BadParameter, KindMismatch, NonFinite
 from .systems import (
     CircleTimesK,
     PermutationSystem,
@@ -117,7 +117,7 @@ class CylinderFunction:
     @staticmethod
     def from_values(depth: int, mapping) -> "CylinderFunction":
         if depth < 1:
-            raise ValueError("cylinder depth must be >= 1")
+            raise BadParameter("cylinder depth must be >= 1")
         items = tuple(
             sorted((tuple(w), _finite(c, "cylinder value")) for w, c in dict(mapping).items())
         )
@@ -395,7 +395,7 @@ class ExtFunction:
 
     def __post_init__(self) -> None:
         if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise BadParameter("depth must be >= 1")
 
 
 def ext(depth: int, base: BaseFunction) -> ExtFunction:

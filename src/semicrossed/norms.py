@@ -17,18 +17,21 @@ least every grid angle's value and, since each truncation at y compresses
 the block Laurent operator with symbol P_y, every ||M_n(y)||: the ladder and
 the grid could add nothing.  Their upper end is a pivot-graph certificate: a
 table over the states of the system, checked exactly, that bounds every LDL^H
-pivot of T^2 I - M_n M_n^H at every point, so it holds for all points.  The
-circle and bands >= 2 keep the two scans.
+pivot of T^2 I - M_n M_n^H at every point, so it holds for all points and
+a sample point that is not periodic adds nothing.  The circle and bands
+>= 2 keep the two scans.
 
 Both scans SVD each distinct operator once: sample points whose coefficient
 values agree byte for byte give the same matrices, so only the first of them
 is assembled, certified and SVD'd.  Both also skip, with proof, the SVDs
 that cannot move their result: a banded LDL^H (``_certify_below``) shows a
 truncation or a periodic cell below a floor that the scan's own SVDs have
-already reached.  The comparison helpers measure, at finite size, the
-identities that make those families cofinal: the periodic-vector transfer,
-the bilateral-window versus orbit-supremum agreement, and the isometric
-embedding into the extension's crossed product.
+already reached.  Every matrix this module SVDs is placed by ``reps._chain``
+(through ``_scatter_bands``) or ``reps._cycle``.  The comparison helpers
+measure, at finite size, the identities that make those families cofinal:
+the periodic-vector transfer, the bilateral-window versus orbit-supremum
+agreement, and the isometric embedding into the extension's crossed
+product.
 """
 
 from __future__ import annotations
@@ -114,6 +117,31 @@ def _ladder(n_max: int) -> list[int]:
     return out
 
 
+def _check_orbit_args(el: Element, points: Sequence[Point], n_max: int) -> None:
+    """The orbit ladder's argument checks, which ``_pivot_norm`` shares."""
+    require_semicrossed(el)
+    if not points:
+        raise ValueError("need at least one sample point")
+    if n_max < el.max_power + 1:
+        raise WindowTooSmall(f"n_max must be at least the band width {el.max_power + 1}")
+
+
+def _sample_periods(sys: System, periodic_points: Sequence[Point], grid_size: int) -> list[int]:
+    """The period of each periodic sample, after the periodic scan's argument
+    checks, which ``_pivot_norm`` shares; a sample off every cycle raises."""
+    if not periodic_points:
+        raise ValueError("need at least one periodic sample")
+    if grid_size < 8:
+        raise ValueError("grid_size must be >= 8")
+    periods = []
+    for y in periodic_points:
+        cls = classify(sys, y)
+        if not cls.is_periodic:
+            raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
+        periods.append(cls.period)
+    return periods
+
+
 def orbit_norm_estimate(
     sys: System,
     el: Element,
@@ -147,12 +175,7 @@ def orbit_norm_estimate(
     point, or a band too wide for the ladder (not ``_skip_pays``), has every
     cell SVD'd.
     """
-    require_semicrossed(el)
-    if not points:
-        raise ValueError("need at least one sample point")
-    band = el.max_power
-    if n_max < band + 1:
-        raise WindowTooSmall(f"n_max must be at least the band width {band + 1}")
+    _check_orbit_args(el, points, n_max)
     sizes = _ladder(n_max)
     xs, bands = zip(*_distinct((x, orbit_bands(sys, x, el, n_max)) for x in points))
     bands = np.stack(bands)  # rebound, so that the per-lane tuple is freed
@@ -575,12 +598,9 @@ def _cycle_norms(lanes):
                 arg = math.fsum(np.angle(f1).tolist()) - math.fsum(np.angle(f0).tolist())
                 turns.append((-arg / (2 * math.pi * p)) % 1.0)
         lam = np.exp(2j * np.pi * np.array(turns))
-        cols = np.arange(p)
-        mats = np.zeros((len(group), p, p), dtype=complex)
         with np.errstate(over="ignore"):  # entries sharing a position (p = 1) may overflow
-            for k in (0, 1):
-                vk = np.stack([v[k] for _, v in group])
-                mats[:, (cols + k) % p, cols] += lam[:, None] ** k * vk
+            cells = {k: lam[:, None] ** k * np.stack([v[k] for _, v in group]) for k in (0, 1)}
+            mats = _cycle(cells, p, None)
         _require_finite(mats)
         for (i, _), turn, val in zip(group, turns, np.linalg.svd(mats, compute_uv=False)[:, 0]):
             found[i] = (turn, float(val))
@@ -599,37 +619,23 @@ def _pivot_norm(
     finite type or a permutation.
 
     The lower end is the largest of ||P_y(lambda*)|| over the distinct cycles
-    among the samples, the orbit ladder at the sample points that are not
-    periodic, and the truncations along the failing words of the search.
+    among the samples and the truncations along the failing words of the
+    search, which reach points no sample does.  A sample point that is not
+    periodic is only classified: the certificate bounds its truncations.
     The upper end is the first T that ``_exact_pass`` accepts, or the l1 sum.
     The certificate is (T, states, table, e), the accepted table being
-    2^(2e) ``table``, or None when the upper end is the l1 sum.
+    2^(2e) ``table``, or None when the upper end is the l1 sum.  ``n_max``
+    and ``grid_size`` are only checked, by the scans' own checks.
     """
-    require_semicrossed(el)
-    if not points:
-        raise ValueError("need at least one sample point")
-    band = el.max_power
-    if n_max < band + 1:
-        raise WindowTooSmall(f"n_max must be at least the band width {band + 1}")
-    if not periodic_points:
-        raise ValueError("need at least one periodic sample")
-    if grid_size < 8:
-        raise ValueError("grid_size must be >= 8")
+    _check_orbit_args(el, points, n_max)
     cycles = {}
-    for y in periodic_points:
-        cls = classify(sys, y)
-        if not cls.is_periodic:
-            raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
-        cycles.setdefault(point_key(y), (y, cls.period))
-    aperiodic = []
-    for x in points:  # a periodic orbit sample is one more cycle
-        if point_key(x) in cycles:
-            continue
-        cls = classify(sys, x)
-        if cls.is_periodic:
-            cycles[point_key(x)] = (x, cls.period)
-        else:
-            aperiodic.append(x)
+    for y, p in zip(periodic_points, _sample_periods(sys, periodic_points, grid_size)):
+        cycles.setdefault(point_key(y), (y, p))
+    for x in points:  # a periodic orbit sample is one more cycle; the others add nothing
+        if point_key(x) not in cycles:
+            cls = classify(sys, x)
+            if cls.is_periodic:
+                cycles[point_key(x)] = (x, cls.period)
     if not el.coeffs:  # the zero element
         return NormEstimate(NormBracket(0.0, 0.0, "", "coefficient l1 sum"), (), "periodic"), None
     l1 = l1_upper_bound(el)
@@ -646,11 +652,6 @@ def _pivot_norm(
         traces.append((f"cycle {label}", val))
         if val > lower:
             lower, detail = val, f"periodic {label}"
-    if aperiodic:
-        ladder = orbit_norm_estimate(sys, el, aperiodic, n_max)
-        traces += [(f"orbit {k}", v) for k, v in ladder.traces]
-        if ladder.bracket.lower > lower:
-            lower, witness, detail = ladder.bracket.lower, "orbit", ladder.witness
     states = list(index)
     # the search runs on values rescaled by a power of two, so no square overflows
     e = int(np.frexp(np.max(np.abs(vals.view(float))))[1])
@@ -667,7 +668,7 @@ def _pivot_norm(
         traces.append((f"pivot states={len(states)} fail", t))
         if word is not None:  # a float pivot fell to <= 0: find its word
             word = _pivot_sweeps(a0, a1, src, dst, math.ldexp(t, -e), trace=True)[1]
-            val = spectral_norm(np.diag(vals[0, word]) + np.diag(vals[1, word[:-1]], -1))
+            val = spectral_norm(_scatter_bands(vals[:, word], len(word)))
             if val > lower:
                 lower, witness = val, "orbit"
                 detail = f"orbit word={_word_label(states, word)} n={len(word)}"
@@ -722,16 +723,7 @@ def periodic_norm_estimate(
     the scan) are exactly those of SVDing every cell.
     """
     require_semicrossed(el)
-    if not periodic_points:
-        raise ValueError("need at least one periodic sample")
-    if grid_size < 8:
-        raise ValueError("grid_size must be >= 8")
-    periods = []
-    for y in periodic_points:
-        cls = classify(sys, y)
-        if not cls.is_periodic:
-            raise NotPeriodic(f"sample {_point_label(y)} is {cls.kind}")
-        periods.append(cls.period)
+    periods = _sample_periods(sys, periodic_points, grid_size)
     lams = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
     lip = sum(abs(k) * ext_sup_norm(f).upper for k, f in el.coeffs)
     per_lambda = np.zeros(grid_size)
@@ -757,16 +749,12 @@ def periodic_norm_estimate(
             floor = np.tile(per_lambda.reshape(-1, m).min(axis=0), len(lanes))
             keep = ~_skip_mask(bands, [p], floor, band)[0]
         s = np.zeros(len(cells))
-        cols = np.arange(p)
         kept = np.flatnonzero(keep)
         step = max(1, _SVD_CHUNK // (p * p))
         for c in range(0, len(kept), step):  # in chunks, so that no stack is large
             at = kept[c : c + step]
-            # summed in coefficient order from 0, as an einsum over the placements
-            mats = np.zeros((len(at), p, p), dtype=complex)
             with np.errstate(over="ignore"):  # bands sharing entries (p <= band) may overflow
-                for b, k in enumerate(ks):
-                    mats[:, (cols + k) % p, cols] += cells[at, b]
+                mats = _cycle({k: cells[at, b] for b, k in enumerate(ks)}, p, None)
             _require_finite(mats)
             s[at] = np.linalg.svd(mats, compute_uv=False)[:, 0]
         for g, (i, _) in enumerate(lanes):

@@ -2,13 +2,13 @@
 
 Each layout puts coefficient values along a sequence of points on band k
 (power k of the shift), through one of two placements (numpy complex128,
-entries indexed from 0):
+entries indexed from 0), one matrix per leading index of the values:
 
 * ``_chain``, an open chain: column c of band k goes to (c+k, c).
 * ``_cycle``, a p-cycle at a unit scalar lambda: column c of band k goes to
   ((c+k) mod p, c) times lambda^k (lambda scales the shift) or
   lambda^((c+k)//p) (lambda sits on the wraparound entry,
-  ``norms.twisted_periodic_matrix``).
+  ``norms.twisted_periodic_matrix``), or unscaled (the scans in ``norms``).
 
 Four public families call them: ``orbit_matrix`` (chain along a forward
 orbit, M[i+k, i] = f_k(x_i); ``orbit_bands`` returns just those bands),
@@ -102,7 +102,7 @@ def _lift_orbits(sys: System, coeffs, xt: ExtPoint, offset: int, n: int) -> dict
 
 
 # ---------------------------------------------------------------------------
-# band placement: the only code that puts values into matrix entries
+# band placement: outside the checks' independent oracles, the only code that fills matrices
 
 
 def _chain(values, n: int) -> np.ndarray:
@@ -115,21 +115,23 @@ def _chain(values, n: int) -> np.ndarray:
     return out
 
 
-def _cycle(values, p: int, lam: complex, wraps: bool = False) -> np.ndarray:
-    """p x p cycle: values[k][c] times lam^e at ((c+k) mod p, c), with e = k,
-    or with ``wraps`` the wrap count (c+k) // p.
+def _cycle(values, p: int, lam: complex | None, wraps: bool = False) -> np.ndarray:
+    """p x p cycle: values[k][..., c] times lam^e at ((c+k) mod p, c), with
+    e = k, or with ``wraps`` the wrap count (c+k) // p, one cycle per leading
+    index of the values; with ``lam`` None the values are placed unscaled.
 
     Each power of lam is one Python ``complex ** int``, and entries that
     share a position (p <= band) are added in coefficient order.
     """
     cols = np.arange(p)
-    out = np.zeros((p, p), dtype=complex)
+    out = np.zeros(np.shape(next(iter(values.values()), ()))[:-1] + (p, p), dtype=complex)
     for k, vals in values.items():
         vals = np.asarray(vals, dtype=complex)
         exps = (cols + k) // p if wraps else np.full(p, k)
         for e in range(exps[0], exps[-1] + 1):  # exps never decreases along c
             at = exps == e
-            out[(cols[at] + k) % p, cols[at]] += lam**e * vals[at]
+            placed = vals[..., at] if lam is None else lam**e * vals[..., at]
+            out[..., (cols[at] + k) % p, cols[at]] += placed
     return out
 
 
@@ -145,7 +147,7 @@ def orbit_bands(sys: System, x: Point, el: Element, n: int) -> np.ndarray:
     """
     require_semicrossed(el)
     if n < 1:
-        raise ValueError("size must be >= 1")
+        raise WindowTooSmall("size must be >= 1")
     out = np.zeros((el.max_power + 1, n), dtype=complex)
     for k, vals in _coeff_orbits(sys, [(k, f) for k, f in el.coeffs if k < n], x, n).items():
         out[k, : n - k] = vals[: n - k]
@@ -216,7 +218,7 @@ def backward_matrix(sys: System, orbit_pt: ExtPoint, g: RightFormElement, n: int
     if any(k < 0 or f.depth != 1 for k, f in g.coeffs):
         raise WrongForm("right-form element must have nonnegative powers and depth-1 coefficients")
     if n < 1:
-        raise ValueError("size must be >= 1")
+        raise WindowTooSmall("size must be >= 1")
     return orbit_matrix(sys, orbit_pt.coordinate(n), from_right_form(g), n)[::-1, ::-1].T
 
 

@@ -22,6 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import (
+    BadParameter,
     InvalidMatrix,
     KindMismatch,
     SeparationImpossible,
@@ -39,7 +40,7 @@ class CircleTimesK:
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError("k must be an integer >= 2")
+            raise BadParameter("k must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class PermutationSystem:
     def __post_init__(self) -> None:
         n = len(self.images)
         if n == 0 or sorted(self.images) != list(range(n)):
-            raise ValueError("images must be a permutation of 0..n-1")
+            raise BadParameter("images must be a permutation of 0..n-1")
 
     @property
     def size(self) -> int:

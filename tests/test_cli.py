@@ -261,6 +261,30 @@ def test_norm_overflow_is_typed(capsys, tmp_path):
     assert out.startswith("error\tNonFinite\t")
 
 
+@pytest.mark.parametrize(
+    "text,args,row",
+    [
+        ("system {\n kind circle\n k 1\n}\n", ["classify", "1/3"],
+         "BadParameter\tk must be an integer >= 2"),
+        ("system {\n kind permutation\n images 0 0\n}\n", ["classify", "0"],
+         "BadParameter\timages must be a permutation of 0..n-1"),
+        ("system {\n kind sft\n row 1 1\n row 1 0\n}\nelement S {\n term 0 cyl 0 00 1\n}\n",
+         ["norm", "S"], "BadParameter\tcylinder depth must be >= 1"),
+        (DEMO + "element E {\n term 0 depth 0 const 1\n}\n", ["norm", "E"],
+         "BadParameter\tdepth must be >= 1"),
+        (DEMO, ["repmat", "orbit:1/3:0", "F"], "WindowTooSmall\tsize must be >= 1"),
+        (DEMO, ["repmat", "backward:1/3:min:0", "F"], "WindowTooSmall\tsize must be >= 1"),
+    ],
+    ids=["circle-k", "permutation-images", "cylinder-depth", "ext-depth", "orbit-size", "backward-size"],
+)
+def test_malformed_parameter_is_typed(capsys, tmp_path, text, args, row):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out = run_cli(capsys, "--config", str(cfg), *args)
+    assert code == 2
+    assert out == f"error\t{row}\n"
+
+
 def test_unknown_key_line_number(capsys, tmp_path):
     cfg = tmp_path / "odd.cfg"
     for text, line in [

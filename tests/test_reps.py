@@ -420,6 +420,20 @@ def test_cycle_matches_grouped_placement(wraps, lam):
             values[ks[0]][0] = complex(-0.0, -0.0)
             got = reps._cycle(values, p, lam, wraps)
             assert got.tobytes() == helpers.grouped_cycle(values, p, lam, wraps).tobytes()
+    # three lanes on a leading axis are three cycles; with lam None each band
+    # goes in unscaled, added in coefficient order
+    for p in (2, 5):  # p = 2 <= band 3: bands share positions
+        values = {k: rng.normal(size=(3, p)) + 1j * rng.normal(size=(3, p)) for k in (-1, 0, 3)}
+        values[0][1, 0] = complex(-0.0, -0.0)
+        lanes = [{k: v[i] for k, v in values.items()} for i in range(3)]
+        want = np.stack([helpers.grouped_cycle(lane, p, lam, wraps) for lane in lanes])
+        assert reps._cycle(values, p, lam, wraps).tobytes() == want.tobytes()
+        plain = np.zeros((3, p, p), dtype=complex)
+        for i, lane in enumerate(lanes):
+            for k, v in lane.items():
+                for c in range(p):
+                    plain[i, (c + k) % p, c] += v[c]
+        assert reps._cycle(values, p, None, wraps).tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("case", range(5))
