@@ -133,22 +133,14 @@ def check_covariance(budgets: Budgets | None = None) -> CheckReport:
             lam = complex(np.exp(2j * np.pi * rng.randrange(16) / 16))
             spec = PeriodicOrbitRep(per, lam)
             spec_label = "periodic"
-        elif kind == 2:
-            xt = (
-                periodic_lift(sys, per)
-                if i % 8 < 4
-                else lift_point(sys, per, SeededRandom(b.seed + i))
-            )
-            spec = BilateralWindowRep(xt, 3 + rng.randrange(6))
-            spec_label = f"bilateral M={spec.half_width}"
         else:
-            xt = (
-                periodic_lift(sys, per)
-                if i % 8 < 4
-                else lift_point(sys, per, SeededRandom(b.seed + i))
-            )
-            spec = BackwardOrbitRep(xt, 5 + rng.randrange(10))
-            spec_label = f"backward n={spec.size}"
+            xt = periodic_lift(sys, per) if i % 8 < 4 else lift_point(sys, per, SeededRandom(b.seed + i))
+            if kind == 2:
+                spec = BilateralWindowRep(xt, 3 + rng.randrange(6))
+                spec_label = f"bilateral M={spec.half_width}"
+            else:
+                spec = BackwardOrbitRep(xt, 5 + rng.randrange(10))
+                spec_label = f"backward n={spec.size}"
         defect = covariance_defect(sys, spec, f)
         tol = 1e-12 if isinstance(sys, CircleTimesK) else 0.0
         rows.append(

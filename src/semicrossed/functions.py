@@ -38,6 +38,7 @@ from .systems import (
     StatePoint,
     System,
     WordPoint,
+    _orbit_ids,
     _words,
     admissible_words,
     check_point,
@@ -195,17 +196,16 @@ def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
 
     Every point is eventually periodic, so the orbit is walked only until it
     repeats: the bases are evaluated at its first ``pre + per`` points (at
-    most n) and gathered out to n."""
+    most n) and gathered out to n.  A word slides a window along its symbols;
+    circle residues and permutation states are walked by
+    ``systems._orbit_ids``."""
     check_point(sys, x)
     for g in bases:
         validate_base(sys, g)
-    if isinstance(x, RationalPoint):  # integer residues p k^i mod q, walked as r -> k r mod q
+    if isinstance(x, RationalPoint):  # integer residues p k^i mod q, with ids (r, q)
         q = x.value.denominator
-        first, r = {}, x.value.numerator % q
-        while r not in first and len(first) < n:
-            first[r] = len(first)
-            r = sys.k * r % q
-        pre, res = first.get(r, n), list(first)
+        ids, pre = _orbit_ids(sys, x, n - 1)
+        res = [r for r, _ in ids]
         out = np.zeros((len(bases), len(res)), dtype=complex)
         terms = [(b, m, c) for b, g in enumerate(bases) for m, c in g.coeffs]
         ms = [m for _, m, _ in terms]
@@ -228,14 +228,11 @@ def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
         for row, g in zip(out, bases):
             table = g.as_dict()
             row[:] = [table[tuple(seq[i : i + g.depth])] for i in range(size)]
-    else:
-        first, s = {}, x.state
-        while s not in first and len(first) < n:
-            first[s] = len(first)
-            s = sys.images[s]
-        pre = first.get(s, n)
-        out = np.array([[g.values[s] for s in first] for g in bases], dtype=complex)
-        out = out.reshape(len(bases), len(first))
+    else:  # permutation states, with ids point_key
+        ids, pre = _orbit_ids(sys, x, n - 1)
+        out = np.array([[g.values[s] for _, s in ids] for g in bases], dtype=complex)
+        out = out.reshape(len(bases), len(ids))
+    pre = n if pre is None else pre  # no repeat within n points
     i = np.arange(n)
     return out.take(np.where(i < pre, i, pre + (i - pre) % max(out.shape[1] - pre, 1)), axis=1)
 

@@ -179,27 +179,16 @@ def orbit_norm_estimate(
     sizes = _ladder(n_max)
     xs, bands = zip(*_distinct((x, orbit_bands(sys, x, el, n_max)) for x in points))
     bands = np.stack(bands)  # rebound, so that the per-lane tuple is freed
-    computed = _ladder_norms(bands, sizes)
-    best = 0.0
-    witness = ""
-    by_size = {n: 0.0 for n in sizes}
-    for p, x in enumerate(xs):
-        for s, n in enumerate(sizes):
-            val = float(computed[s, p])
-            if val > by_size[n]:  # never for NaN
-                by_size[n] = val
-            if val > best:
-                best = val
-                witness = f"orbit x={_point_label(x)} n={n}"
-    running = 0.0
-    traces = []
-    for n in sizes:
-        running = max(running, by_size[n])
-        traces.append((f"n={n}", running))
+    vals = np.fmax(_ladder_norms(bands, sizes), 0.0)  # a skipped cell (NaN) reads 0
+    running = np.maximum.accumulate(vals.max(axis=1))
+    best = float(running[-1])
+    # argmax takes the first maximum, points outer and sizes inner
+    p, s = divmod(int(np.argmax(vals.T)), len(sizes))
+    witness = f"orbit x={_point_label(xs[p])} n={sizes[s]}" if best else ""
     upper = max(l1_upper_bound(el), best)
     return NormEstimate(
         NormBracket(best, upper, witness, "coefficient l1 sum"),
-        tuple(traces),
+        tuple((f"n={n}", float(v)) for n, v in zip(sizes, running)),
         witness,
     )
 
@@ -290,23 +279,6 @@ def _cycle_skip_pays(period: int, band: int) -> bool:
     return 2 * band + 1 < period <= _CYCLE_SKIP_LIMIT
 
 
-def _skip_mask(
-    bands: np.ndarray, sizes: Sequence[int], floor: np.ndarray, border: int = 0
-) -> np.ndarray:
-    """Mask of the lanes the certificate clears, as ``_certify_below``.
-
-    ``floor`` gives one threshold per size (the ladder) or per stacked
-    matrix (the periodic cells).  Its own function so that the rescaled copy
-    is freed before the SVDs run.
-    """
-    # an exact power-of-two rescale keeps the squares below overflow
-    e = np.frexp(np.max(np.abs(bands)))[1]
-    unit = np.ldexp(bands.view(float), -e).view(complex)
-    # the unit cells have norm at most band + 1, far below 2^64
-    thr = np.minimum(np.ldexp(floor, -e), 2.0**64)
-    return _certify_below(unit, thr, sizes, border)
-
-
 def _ladder_norms(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """(len(sizes), P) ``spectral_norm`` values of the stacked lanes' M_n,
     n = sizes[s], NaN where the certificate proves a cell below its size's
@@ -315,8 +287,9 @@ def _ladder_norms(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     The sizes up to _BATCH_MAX are SVD'd whole, one stack per size.  With
     more than one lane and ``_skip_pays``, the first lane of largest norm at
     the last of them is the candidate: it is SVD'd at each larger size, the
-    running maxima of those values are the floors, and only the cells
-    ``_skip_mask`` does not clear are SVD'd.  Otherwise every larger cell is.
+    running maxima of those values are the floors, and a cell that
+    ``_certify_below`` proves below its floor is not SVD'd.  Otherwise every
+    larger cell is.
     """
     _require_finite(bands)
     out = np.full((len(sizes), len(bands)), np.nan)
@@ -328,7 +301,7 @@ def _ladder_norms(bands: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
         top = int(np.argmax(out[small - 1]))
         for s in range(small, len(sizes)):
             out[s, top] = spectral_norm(_scatter_bands(bands[top], sizes[s]))
-        keep = ~_skip_mask(bands, sizes[small:], np.maximum.accumulate(out[small:, top]))
+        keep = ~_certify_below(bands, np.maximum.accumulate(out[small:, top]), sizes[small:])
         keep[:, top] = False
     for s, p in zip(*np.nonzero(keep)):
         out[small + s, p] = spectral_norm(_scatter_bands(bands[p], sizes[small + s]))
@@ -354,11 +327,20 @@ def _certify_below(
     on a Hermitian window of w = band+1 slots for the band rows in flight
     (row r in slot r mod w) and ``border`` slots for the last rows, which
     stay to the end and are factored last.
+
+    It first scales the bands by 2^-e, e the binary exponent of the largest
+    |entry|, and the thresholds alike, capped at 2^64.  The scale is exact,
+    so the certificate is the same at every scale, and no square overflows
+    or underflows.  A scaled cell has norm at most band + 1, far below 2^64,
+    so the cap keeps T^2 finite and still clears every cell.
     """
+    e = np.frexp(np.max(np.abs(bands)))[1]
+    bands = np.ldexp(bands.view(float), -e).view(complex)
+    thr = np.minimum(np.ldexp(np.asarray(thr, dtype=float), -e), 2.0**64)
+    thr = thr.reshape(len(sizes), -1)
     p, w, n = bands.shape
     nb = n - border  # rows swept as a band
     conj = bands.conj()
-    thr = np.asarray(thr, dtype=float).reshape(len(sizes), -1)
     slack = _cycle_slack(n) if border else _SKIP_SLACK
     shift = np.where(thr > _SKIP_FLOOR_MIN, thr**2 * (1.0 - slack), 0.0)
     shift = np.broadcast_to(shift, (len(sizes), p))
@@ -747,7 +729,7 @@ def periodic_norm_estimate(
             bands = np.zeros((len(cells), band + 1, p), dtype=complex)
             bands[:, ks] = cells
             floor = np.tile(per_lambda.reshape(-1, m).min(axis=0), len(lanes))
-            keep = ~_skip_mask(bands, [p], floor, band)[0]
+            keep = ~_certify_below(bands, floor, [p], band)[0]
         s = np.zeros(len(cells))
         kept = np.flatnonzero(keep)
         step = max(1, _SVD_CHUNK // (p * p))
@@ -797,24 +779,16 @@ def semicrossed_norm(
         return _pivot_norm(sys, el, points, periodic_points, n_max, grid_size)[0]
     a = orbit_norm_estimate(sys, el, points, n_max)
     b = periodic_norm_estimate(sys, el, periodic_points, grid_size)
-    if b.bracket.lower >= a.bracket.lower:
-        lower, witness = b.bracket.lower, "periodic"
-        lower_detail = b.witness
-    else:
-        lower, witness = a.bracket.lower, "orbit"
-        lower_detail = a.witness
-    upper = min(a.bracket.upper, b.bracket.upper)
-    upper = max(upper, lower)
-    upper_method = (
-        a.bracket.upper_method
-        if a.bracket.upper <= b.bracket.upper
-        else b.bracket.upper_method
-    )
+    low = b if b.bracket.lower >= a.bracket.lower else a  # a tie goes to the periodic family
+    high = a if a.bracket.upper <= b.bracket.upper else b  # and to the orbit family
+    lower = low.bracket.lower
     traces = tuple((f"orbit {k}", v) for k, v in a.traces) + tuple(
         (f"periodic {k}", v) for k, v in b.traces
     )
     return NormEstimate(
-        NormBracket(lower, upper, lower_detail, upper_method), traces, witness
+        NormBracket(lower, max(high.bracket.upper, lower), low.witness, high.bracket.upper_method),
+        traces,
+        "periodic" if low is b else "orbit",
     )
 
 

@@ -306,7 +306,9 @@ def _orbit_ids(sys: System, x: Point, max_steps: int) -> tuple[list, int | None]
     repeats within max_steps steps.  A circle point a/q walks as ints
     r -> k*r mod q with id (r, q), the point r/q; on a periodic orbit r stays
     coprime to q, so there the ids agree from every start.  Other points walk
-    through apply_map with id point_key.
+    through apply_map with id point_key.  It is the one orbit walk of
+    ``classify``, ``corpus.orbit_representatives`` and, off words,
+    ``functions._orbit_values``.
     """
     check_point(sys, x)
     if isinstance(sys, CircleTimesK):

@@ -70,6 +70,14 @@ def test_demo_sft_norm_golden(capsys):
     assert out == (DATA / "demo_sft_norm_S.tsv").read_text()
 
 
+def test_demo_band3_norm_golden(capsys):
+    # a band-3 trig element on x -> 3x: the chain certificate skips ladder
+    # cells and the cyclic-border one skips periodic cells
+    code, out = run_cli(capsys, "--config", str(DATA / "demo_band3.cfg"), "norm", "B")
+    assert code == 0
+    assert out == (DATA / "demo_band3_norm_B.tsv").read_text()
+
+
 @pytest.mark.parametrize(
     "system",
     ["kind circle\n  k 2", "kind sft\n  row 1 1\n  row 1 0", "kind permutation\n  images 1 2 0"],

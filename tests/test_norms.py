@@ -459,6 +459,47 @@ def test_shared_lanes_leave_every_estimate_unchanged(sys, el, pts, per, monkeypa
     assert same(both, sc.semicrossed_norm(sys, el, pts, per))
 
 
+def test_semicrossed_norm_tie_rules(doubling, monkeypatch):
+    # tied lower ends go to the periodic family, tied upper ends to the orbit one
+    orbit = norms.NormEstimate(
+        sc.NormBracket(1.5, 2.0, "orbit x=1/3 n=4", "coefficient l1 sum"),
+        (("n=4", 1.5),),
+        "orbit x=1/3 n=4",
+    )
+    periodic = norms.NormEstimate(
+        sc.NormBracket(1.5, 2.0, "periodic y=1/3 angle=0/8", "lambda grid + Lipschitz certificate"),
+        (("angle=0/8", 1.5),),
+        "periodic y=1/3 angle=0/8",
+    )
+    monkeypatch.setattr(norms, "orbit_norm_estimate", lambda *args: orbit)
+    monkeypatch.setattr(norms, "periodic_norm_estimate", lambda *args: periodic)
+    x = sc.rational(1, 3)
+    est = sc.semicrossed_norm(doubling, sc.cosine_element(doubling), [x], [x])
+    assert est.witness == "periodic"
+    assert est.bracket == sc.NormBracket(1.5, 2.0, "periodic y=1/3 angle=0/8", "coefficient l1 sum")
+    assert est.traces == (("orbit n=4", 1.5), ("periodic angle=0/8", 1.5))
+
+
+def test_orbit_ends_from_the_ladder_array(doubling, monkeypatch):
+    # a skipped (NaN) cell reads 0, the trace rows are running maxima, and the
+    # witness is the first maximum with points outer and sizes inner: point 1
+    # ties with point 2 at n=8 and with itself at n=32
+    nan = np.nan
+    table = np.array([[1.0, nan, 0.5], [nan, 2.0, 2.0], [1.5, nan, nan], [nan, 2.0, 1.0]])
+    pts = [sc.rational(1, 3), sc.rational(1, 5), sc.rational(1, 7)]
+    el = sc.cosine_element(doubling)
+    monkeypatch.setattr(norms, "_ladder_norms", lambda bands, sizes: table[:, : len(bands)])
+    est = sc.orbit_norm_estimate(doubling, el, pts, 32)
+    assert est.traces == (("n=4", 1.0), ("n=8", 2.0), ("n=16", 2.0), ("n=32", 2.0))
+    assert all(type(v) is float for _, v in est.traces)
+    assert est.witness == "orbit x=1/5 n=8"
+    assert est.bracket == sc.NormBracket(2.0, 2.0, "orbit x=1/5 n=8", "coefficient l1 sum")
+    monkeypatch.setattr(norms, "_ladder_norms", lambda bands, sizes: np.zeros((4, len(bands))))
+    est = sc.orbit_norm_estimate(doubling, el, pts, 32)
+    assert est.witness == ""
+    assert est.traces == tuple((f"n={n}", 0.0) for n in (4, 8, 16, 32))
+
+
 def test_constant_coefficients_take_one_lane(doubling, monkeypatch):
     # 1 + U reads the same values at all 93 points and along every cycle of
     # one period: one point's ladder, one sample's cells per period
@@ -783,6 +824,21 @@ def test_cycle_skip_certificate_rejects_nan(seed, p, band, data):
     bands, _ = _cyclic_banded(seed, p, band, 2)
     bands[:, data.draw(st.integers(0, band)), data.draw(st.integers(0, p - 1))] = np.nan
     assert not _certify_below(bands, np.array([1e3, 1e6]), [p], band).any()
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["huge", "tiny"])
+def test_certificate_masks_do_not_depend_on_scale(scale):
+    # raw bands whose squares overflow or underflow get the masks of scale 1,
+    # on the chain (one threshold per size) and on the cycle (one per lane)
+    sizes = [16, 32, 64]
+    chain = _lanes(44, 4, 64, 2)
+    norm = np.array([[sc.spectral_norm(_dense(b[None, :, :n])) for b in chain] for n in sizes])
+    cycle, dense = _cyclic_banded(45, 12, 2, 4)
+    lane_thr = float(np.linalg.norm(dense, 2)) * np.array([0.5, 0.99, 1.01, 2.0])
+    for bands, thr, at, border in [(chain, np.median(norm, axis=1), sizes, 0), (cycle, lane_thr, [12], 2)]:
+        want = _certify_below(bands, thr, at, border)
+        assert want.any() and not want.all()
+        assert np.array_equal(_certify_below(bands * scale, thr * scale, at, border), want)
 
 
 def test_periodic_estimate_one_plus_u(doubling):
