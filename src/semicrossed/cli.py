@@ -388,6 +388,8 @@ def _cmd_lift(cfg: Config, args: list[str]) -> tuple[list[list[str]], int]:
     if len(args) not in (2, 3):
         raise ConfigError("usage: lift <point> <chooser> [depth]")
     depth = _parse_int(args[2], "lift depth") if len(args) == 3 else 8
+    if depth < 0:
+        raise ConfigError(f"lift depth: expected a nonnegative integer, got {args[2]!r}")
     xt = _parse_lift(cfg.system, args[0], args[1])
     rows = [["key", "value"]]
     for j in range(1, depth + 1):

@@ -26,16 +26,20 @@ import numpy as np
 
 from .errors import KindMismatch, NotPeriodic
 from .systems import (
+    _MAX_STEPS,
+    CircleTimesK,
     Classification,
     Point,
     ShiftOfFiniteType,
     SftReport,
     System,
+    WordPoint,
+    _id_points,
+    _orbit_ids,
     _primitive_cycle,
     apply_map,
     check_point,
     classify,
-    forward_orbit,
     point_key,
     preimages,
     sft_properties,
@@ -113,15 +117,21 @@ class PeriodicLift:
         object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("coords must be nonempty")
+        sys = self.system
         for x in coords:
-            check_point(self.system, x)
-        p = len(coords)
-        for j in range(p):
-            expected = coords[j - 1] if j >= 1 else coords[p - 1]
-            if point_key(apply_map(self.system, coords[j])) != point_key(expected):
-                raise ValueError("coords do not form a backward orbit cycle")
-        keys = tuple(point_key(x) for x in coords)
-        if len(_primitive_cycle(keys)) != p:
+            check_point(sys, x)
+        # phi(coords[j]) must be coords[j - 1]; on the circle phi(a/q) = b/d
+        # exactly when (k a mod q) d = b q
+        if isinstance(sys, CircleTimesK):
+            keys = tuple((x.value.numerator, x.value.denominator) for x in coords)
+            steps = zip(keys, keys[-1:] + keys[:-1])
+            closed = all(sys.k * a % q * d == b * q for (a, q), (b, d) in steps)
+        else:
+            keys = coords
+            closed = all(apply_map(sys, x) == y for x, y in zip(coords, coords[-1:] + coords[:-1]))
+        if not closed:
+            raise ValueError("coords do not form a backward orbit cycle")
+        if len(_primitive_cycle(keys)) != len(coords):
             raise ValueError("coords repeat a shorter cycle")
 
     @property
@@ -196,16 +206,17 @@ def lift_point(sys: System, x: Point, chooser: Chooser) -> LazyLift:
 def periodic_lift(sys: System, x: Point) -> PeriodicLift:
     """The unique periodic backward orbit through a periodic point x.
 
-    Coordinate j is phi^(n+1-j)(x) for a period-n point; raises NotPeriodic
-    otherwise.
+    Coordinate j is phi^(n+1-j)(x) for a period-n point, read off the points
+    of classify's walk (``systems._orbit_ids``: integer residues on the
+    circle); raises NotPeriodic otherwise.
     """
-    cls = classify(sys, x)
-    if not cls.is_periodic:
-        raise NotPeriodic(f"point is {cls.kind}")
-    n = cls.period
-    orbit = forward_orbit(sys, x, n)
-    coords = [orbit[0]] + orbit[1:][::-1]
-    return PeriodicLift(sys, tuple(coords))
+    # a word's walk closes within its length, which may exceed _MAX_STEPS
+    steps = len(x.preperiod) + len(x.cycle) if isinstance(x, WordPoint) else _MAX_STEPS
+    ids, first = _orbit_ids(sys, x, steps)
+    if first != 0:
+        raise NotPeriodic(f"point is {classify(sys, x).kind}")
+    orbit = _id_points(sys, x, ids)
+    return PeriodicLift(sys, (orbit[0],) + tuple(orbit[:0:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,11 @@ from .systems import (
     CircleTimesK,
     PermutationSystem,
     Point,
-    RationalPoint,
     ShiftOfFiniteType,
     StatePoint,
     System,
-    WordPoint,
     _orbit_ids,
+    _unrolled,
     _words,
     admissible_words,
     check_point,
@@ -64,14 +63,12 @@ class TrigPoly:
 
     @staticmethod
     def from_coeffs(mapping) -> "TrigPoly":
-        items = tuple(
-            sorted(
-                (int(k), _finite(c, "coefficient"))
-                for k, c in dict(mapping).items()
-                if complex(c) != 0
-            )
-        )
-        return TrigPoly(items)
+        items = [(k, complex(c)) for k, c in dict(mapping).items()]
+        items = [(int(k), c) for k, c in items if c != 0]
+        finite = np.isfinite(np.array([c for _, c in items], dtype=complex))
+        if not finite.all():
+            _finite(items[int(finite.argmin())][1], "coefficient")  # raises, naming the first
+        return TrigPoly(tuple(sorted(items)))
 
     def as_dict(self) -> dict[int, complex]:
         return dict(self.coeffs)
@@ -198,29 +195,34 @@ def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
     repeats: the bases are evaluated at its first ``pre + per`` points (at
     most n) and gathered out to n.  A word slides a window along its symbols;
     circle residues and permutation states are walked by
-    ``systems._orbit_ids``."""
-    check_point(sys, x)
+    ``systems._orbit_ids``, which checks x."""
+    if isinstance(sys, ShiftOfFiniteType):
+        check_point(sys, x)
+    else:
+        ids, pre = _orbit_ids(sys, x, n - 1)
     for g in bases:
         validate_base(sys, g)
-    if isinstance(x, RationalPoint):  # integer residues p k^i mod q, with ids (r, q)
+    if isinstance(sys, CircleTimesK):  # integer residues p k^i mod q, with ids (r, q)
         q = x.value.denominator
-        ids, pre = _orbit_ids(sys, x, n - 1)
         res = [r for r, _ in ids]
-        out = np.zeros((len(bases), len(res)), dtype=complex)
-        terms = [(b, m, c) for b, g in enumerate(bases) for m, c in g.coeffs]
-        ms = [m for _, m, _ in terms]
+        # zero terms pad each base to a common length from the front, so that
+        # each sum runs from 0.0 as in eval_fraction (-0.0 terms sum to 0.0)
+        size = 1 + max((len(g.coeffs) for g in bases), default=0)
+        terms = [(m, c) for g in bases for m, c in ((0, 0j),) * (size - len(g.coeffs)) + g.coeffs]
+        ms = [m for m, _ in terms]
         # division rounds correctly, so unreduced residues give eval_fraction's doubles
         exact = (max(map(abs, ms), default=0) + 1) * q < 2**53  # m r and q exact in int64, float64
         t = np.outer(ms, res) % q / q if exact else np.array([[m * r % q / q for r in res] for m in ms])
-        c = np.array([c for *_, c in terms])[:, None]
+        shape = (len(bases), size, len(res))
+        c = np.array([c for _, c in terms]).reshape(shape[:2] + (1,))
         with np.errstate(all="ignore"):  # overflow gives inf, as in evaluate_base
-            e = np.exp(2j * np.pi * t)
-            # Python's complex product, summed from 0 in coefficient order
-            re, im = c.real * e.real - c.imag * e.imag, c.real * e.imag + c.imag * e.real
-            for (b, _, _), r, i in zip(terms, re, im):
-                out[b].real += r
-                out[b].imag += i
-    elif isinstance(x, WordPoint):  # a window sliding along the word
+            e = 2j * np.pi * t.reshape(shape)
+            np.exp(e, out=e)
+            # Python's complex product, written over e and summed in coefficient
+            # order by one sequential ufunc
+            e.real, e.imag = c.real * e.real - c.imag * e.imag, c.real * e.imag + c.imag * e.real
+            out = np.add.accumulate(e, axis=1, out=e)[:, -1]
+    elif isinstance(sys, ShiftOfFiniteType):  # a window sliding along the word
         pre = len(x.preperiod)
         size = min(n, pre + len(x.cycle))
         seq = [x.symbol(i) for i in range(size + max((g.depth for g in bases), default=1) - 1)]
@@ -228,13 +230,10 @@ def _orbit_values(sys: System, bases, x: Point, n: int) -> np.ndarray:
         for row, g in zip(out, bases):
             table = g.as_dict()
             row[:] = [table[tuple(seq[i : i + g.depth])] for i in range(size)]
-    else:  # permutation states, with ids point_key
-        ids, pre = _orbit_ids(sys, x, n - 1)
-        out = np.array([[g.values[s] for _, s in ids] for g in bases], dtype=complex)
+    else:  # permutation states
+        out = np.array([[g.values[s.state] for s in ids] for g in bases], dtype=complex)
         out = out.reshape(len(bases), len(ids))
-    pre = n if pre is None else pre  # no repeat within n points
-    i = np.arange(n)
-    return out.take(np.where(i < pre, i, pre + (i - pre) % max(out.shape[1] - pre, 1)), axis=1)
+    return out.take(_unrolled(list(range(out.shape[1])), pre, n), axis=1)
 
 
 def refine_cylinder(sys: ShiftOfFiniteType, g: CylinderFunction, depth: int) -> CylinderFunction:

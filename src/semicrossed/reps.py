@@ -45,7 +45,7 @@ from .elements import (
 from .errors import BadLambda, OrbitCollision, WindowTooSmall, WrongForm
 from .extension import ExtPoint, PeriodicLift, periodic_lift
 from .functions import BaseFunction, _orbit_values, compose_map
-from .systems import Point, System, forward_orbit, point_key
+from .systems import Point, System, _orbit_ids
 
 # ---------------------------------------------------------------------------
 # representation specs (used by covariance_defect and the CLI)
@@ -296,8 +296,7 @@ def invariant_subspaces_are_tails(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    orbit = forward_orbit(sys, x, n)
-    if len({point_key(p) for p in orbit}) != n:
+    if _orbit_ids(sys, x, n - 1)[1] is not None:
         raise OrbitCollision("forward orbit repeats inside the window")
     vals = _orbit_values(sys, list(funcs), x, n)
     gaps = np.abs(vals[:, :, None] - vals[:, None, :]) > 1e-12

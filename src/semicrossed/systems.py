@@ -117,7 +117,7 @@ class RationalPoint:
     def __post_init__(self) -> None:
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
-        if not 0 <= self.value < 1:
+        if not 0 <= self.value.numerator < self.value.denominator:  # 0 <= value < 1, in ints
             object.__setattr__(self, "value", self.value % 1)
 
 
@@ -291,13 +291,13 @@ def preimages(sys: System, x: Point) -> list[Point]:
 
 
 def forward_orbit(sys: System, x: Point, n: int) -> list[Point]:
-    """[x, phi(x), ..., phi^(n-1)(x)] for n >= 1."""
+    """[x, phi(x), ..., phi^(n-1)(x)] for n >= 1: ``apply_map``'s points, from
+    one ``_orbit_ids`` walk (one ``check_point``) repeated along its cycle.  A
+    circle point's residue r is the reduced ``Fraction(r, q)``."""
     if n < 1:
         raise ValueError("orbit length must be >= 1")
-    out = [x]
-    for _ in range(n - 1):
-        out.append(apply_map(sys, out[-1]))
-    return out
+    ids, first = _orbit_ids(sys, x, n - 1)
+    return _unrolled(_id_points(sys, x, ids), first, n)
 
 
 def _orbit_ids(sys: System, x: Point, max_steps: int) -> tuple[list, int | None]:
@@ -306,24 +306,44 @@ def _orbit_ids(sys: System, x: Point, max_steps: int) -> tuple[list, int | None]
     repeats within max_steps steps.  A circle point a/q walks as ints
     r -> k*r mod q with id (r, q), the point r/q; on a periodic orbit r stays
     coprime to q, so there the ids agree from every start.  Other points walk
-    through apply_map with id point_key.  It is the one orbit walk of
-    ``classify``, ``corpus.orbit_representatives`` and, off words,
-    ``functions._orbit_values``.
+    through apply_map and are their own ids.  It is the one orbit walk of
+    ``classify``, ``forward_orbit``, ``extension.periodic_lift``,
+    ``corpus.orbit_representatives``, ``reps.invariant_subspaces_are_tails``
+    and, off words, ``functions._orbit_values``; it checks x once.
     """
     check_point(sys, x)
     if isinstance(sys, CircleTimesK):
-        q, k = x.value.denominator, sys.k
-        cur, step, point_id = x.value.numerator, (lambda r: k * r % q), (lambda r: (r, q))
-    else:
-        cur, step, point_id = x, (lambda y: apply_map(sys, y)), point_key
-    seen: dict = {}  # id -> index, in walk order
-    for _ in range(max_steps + 1):
-        key = point_id(cur)
-        if key in seen:
-            return list(seen), seen[key]
-        seen[key] = len(seen)
-        cur = step(cur)
+        q, k, r = x.value.denominator, sys.k, x.value.numerator
+        seen = {(r, q): 0}  # id -> index, in walk order
+        for i in range(1, max_steps + 1):
+            r = k * r % q
+            first = seen.setdefault((r, q), i)
+            if first != i:
+                return list(seen), first
+        return list(seen), None
+    seen = {x: 0}
+    for i in range(1, max_steps + 1):
+        x = apply_map(sys, x)
+        first = seen.setdefault(x, i)
+        if first != i:
+            return list(seen), first
     return list(seen), None
+
+
+def _id_points(sys: System, x: Point, ids: list) -> list[Point]:
+    """The points of an ``_orbit_ids`` walk from x."""
+    if isinstance(sys, CircleTimesK):
+        return [x] + [RationalPoint(Fraction(r, q)) for r, q in ids[1:]]
+    return ids
+
+
+def _unrolled(items: list, first: int | None, n: int) -> list:
+    """The n entries along a walk's items, repeating its cycle from index first."""
+    extra = n - len(items)
+    if first is None or extra <= 0:
+        return items
+    cycle = items[first:]
+    return items + (cycle * (extra // len(cycle) + 1))[:extra]
 
 
 _MAX_STEPS = 4096  # the longest walk of classify and corpus.orbit_representatives

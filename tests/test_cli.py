@@ -78,6 +78,24 @@ def test_demo_band3_norm_golden(capsys):
     assert out == (DATA / "demo_band3_norm_B.tsv").read_text()
 
 
+def test_demo_classify_lift_golden(capsys):
+    # a period-256 point with a 129-bit denominator, two eventually periodic
+    # points and a periodic lift, captured while every orbit step was a
+    # Fraction step of apply_map
+    cfg = str(DATA / "demo.cfg")
+    out = ""
+    for args in (
+        ["classify", "1/340282366920938463463374607431768211457"],
+        ["classify", "5/12"],
+        ["classify", "1/6"],
+        ["lift", "1/7", "cycle", "8"],
+    ):
+        code, text = run_cli(capsys, "--config", cfg, *args)
+        assert code == 0
+        out += text
+    assert out == (DATA / "demo_classify_lift.tsv").read_text()
+
+
 @pytest.mark.parametrize(
     "system",
     ["kind circle\n  k 2", "kind sft\n  row 1 1\n  row 1 0", "kind permutation\n  images 1 2 0"],
@@ -282,8 +300,13 @@ def test_norm_overflow_is_typed(capsys, tmp_path):
          "BadParameter\tdepth must be >= 1"),
         (DEMO, ["repmat", "orbit:1/3:0", "F"], "WindowTooSmall\tsize must be >= 1"),
         (DEMO, ["repmat", "backward:1/3:min:0", "F"], "WindowTooSmall\tsize must be >= 1"),
+        (DEMO, ["lift", "1/3", "cycle", "-1"],
+         "ConfigError\tlift depth: expected a nonnegative integer, got '-1'"),
     ],
-    ids=["circle-k", "permutation-images", "cylinder-depth", "ext-depth", "orbit-size", "backward-size"],
+    ids=[
+        "circle-k", "permutation-images", "cylinder-depth", "ext-depth", "orbit-size",
+        "backward-size", "lift-depth",
+    ],
 )
 def test_malformed_parameter_is_typed(capsys, tmp_path, text, args, row):
     cfg = tmp_path / "bad.cfg"

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import semicrossed as sc
+from semicrossed import extension, systems
 
 
 def coords(xt, n):
@@ -32,6 +33,84 @@ def test_periodic_lift_validation(doubling):
     a, b = sc.rational(1, 3), sc.rational(2, 3)
     with pytest.raises(ValueError):
         sc.PeriodicLift(doubling, (a, b, a, b))
+
+
+def old_periodic_lift_coords(sys, x):
+    """periodic_lift's coordinates from classify and a walk of apply_map steps."""
+    orbit = [x]
+    for _ in range(sc.classify(sys, x).period - 1):
+        orbit.append(sc.apply_map(sys, orbit[-1]))
+    return (orbit[0],) + tuple(orbit[:0:-1])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_periodic_lift_coordinates_match_apply_map_walk(k):
+    sys = sc.CircleTimesK(k)
+    pts = sc.periodic_rationals(sys, 40) + ([sc.rational(3, 2**128 + 1)] if k == 2 else [])
+    for x in pts:
+        lift = sc.periodic_lift(sys, x)
+        assert lift.coords == old_periodic_lift_coords(sys, x)
+        assert all(type(c.value) is Fraction for c in lift.coords)
+
+
+def test_periodic_lift_words_and_states_match_apply_map_walk(golden_mean):
+    perm = sc.PermutationSystem((1, 2, 0, 4, 3, 5))
+    cases = [(perm, sc.StatePoint(s)) for s in range(6)]
+    cases += [(golden_mean, w) for w in sc.periodic_points(golden_mean, 5)]
+    for sys, x in cases:
+        assert sc.periodic_lift(sys, x).coords == old_periodic_lift_coords(sys, x)
+
+
+@pytest.mark.parametrize(
+    "x,kind",
+    [(sc.rational(1, 2), "eventually-periodic"), (sc.rational(5, 12), "eventually-periodic"),
+     (sc.RationalPoint(Fraction(1, 2**5000)), "unresolved")],
+)
+def test_periodic_lift_names_the_kind(doubling, x, kind):
+    with pytest.raises(sc.NotPeriodic, match=f"^point is {kind}$"):
+        sc.periodic_lift(doubling, x)
+
+
+def test_periodic_lift_of_a_word_outruns_the_step_budget(golden_mean, monkeypatch):
+    # a word's walk is sized by the word, a circle walk by _MAX_STEPS
+    for module in (extension, systems):
+        monkeypatch.setattr(module, "_MAX_STEPS", 3)
+    w = sc.WordPoint((), (0, 0, 1, 0, 1))
+    assert sc.periodic_lift(golden_mean, w).coords == old_periodic_lift_coords(golden_mean, w)
+    with pytest.raises(sc.NotPeriodic, match="^point is eventually-periodic$"):
+        sc.periodic_lift(golden_mean, sc.WordPoint((1, 0, 0, 0, 1), (0,)))
+    with pytest.raises(sc.NotPeriodic, match="^point is unresolved$"):
+        sc.periodic_lift(sc.CircleTimesK(2), sc.rational(1, 31))
+
+
+@pytest.mark.parametrize(
+    "coords,error,text",
+    [
+        ((sc.rational(1, 3), sc.rational(1, 6)), ValueError, "coords do not form a backward orbit cycle"),
+        ((sc.rational(1, 7), sc.rational(2, 7), sc.rational(4, 7)), ValueError,
+         "coords do not form a backward orbit cycle"),  # a forward cycle
+        ((sc.rational(1, 5),), ValueError, "coords do not form a backward orbit cycle"),
+        ((sc.rational(1, 3), sc.rational(2, 3)) * 2, ValueError, "coords repeat a shorter cycle"),
+        ((sc.rational(0),) * 3, ValueError, "coords repeat a shorter cycle"),
+        ((sc.rational(1, 3), sc.StatePoint(0)), sc.KindMismatch, "circle systems use RationalPoint"),
+        ((sc.WordPoint((), (0,)),), sc.KindMismatch, "circle systems use RationalPoint"),
+        ((), ValueError, "coords must be nonempty"),
+    ],
+    ids=["non-cycle", "forward-cycle", "non-fixed", "doubled", "tripled-fixed", "state", "word", "empty"],
+)
+def test_periodic_lift_rejections_keep_their_types_and_texts(doubling, coords, error, text):
+    with pytest.raises(error) as raised:
+        sc.PeriodicLift(doubling, coords)
+    assert type(raised.value) is error
+    assert str(raised.value) == text
+
+
+def test_shifted_periodic_lift_keeps_its_coordinates(doubling):
+    lift = sc.periodic_lift(doubling, sc.rational(1, 2**128 + 1))
+    assert lift.period == 256
+    for n in (1, 5, 256, -3):
+        moved = sc.shift_power(doubling, lift, n)
+        assert moved.coordinate(1) == sc.forward_orbit(doubling, lift.coordinate(1), n % 256 + 1)[-1]
 
 
 def test_shift_prepends_image(doubling):

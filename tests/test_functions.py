@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +256,31 @@ def test_orbit_values_overflow_matches_scalar(doubling):
     huge = sc.TrigPoly.from_coeffs({-2: 1e308j, 0: 1e308, 1: 1e308})
     got = assert_orbit_values_match(doubling, [huge, cosine()], sc.rational(1, 7), 30)
     assert np.isinf(got.real).any() and not np.isnan(got.view(float)).any()
+
+
+def test_orbit_values_many_terms_and_a_negative_zero_sum(doubling):
+    # a separating function sums 181 terms per point; at 1/5 both terms of the
+    # denormal base have real part -0.0, which eval_fraction sums from 0.0 to 0.0
+    sep = sc.separating_function(doubling, sc.forward_orbit(doubling, sc.rational(1, 11), 10), 3, 10)
+    tiny = sc.TrigPoly.from_coeffs({1: -5e-324, 6: -5e-324})
+    assert len(sep.coeffs) == 181
+    for m in (1, 6):
+        assert math.copysign(1.0, (-5e-324 * cmath.exp(2j * cmath.pi * ((m % 5) / 5))).real) == -1.0
+    for bases in ([tiny], [sep, tiny]):  # alone, and padded to the longer base
+        got = assert_orbit_values_match(doubling, bases, sc.rational(1, 5), 9)
+        assert got[-1, 0].real == 0.0 and math.copysign(1.0, got[-1, 0].real) == 1.0
+    for x in (sc.rational(1, 11), sc.rational(3, 28), sc.rational(0)):
+        assert_orbit_values_match(doubling, [tiny, sep, tiny], x, 24)
+
+
+def test_from_coeffs_drops_zeros_and_names_the_first_nonfinite():
+    g = sc.TrigPoly.from_coeffs({3: 0.0, 5: 1.5, -1: -0.0, 2: 0j, 0: complex(0, -0.0), -4: 2j})
+    assert g.coeffs == ((-4, 2j), (5, 1.5 + 0j))
+    assert all(type(k) is int and type(c) is complex for k, c in g.coeffs)
+    with pytest.raises(sc.NonFinite) as raised:
+        sc.TrigPoly.from_coeffs({1: 1.0, 4: 0.0, 2: complex(1, np.nan), 0: np.inf})
+    assert str(raised.value) == "coefficient must be finite, got (1+nanj)"
+    assert sc.TrigPoly.from_coeffs({}).coeffs == ()
 
 
 @pytest.mark.parametrize("name", sorted(SFTS))

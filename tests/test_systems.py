@@ -2,7 +2,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semicrossed as sc
@@ -63,6 +63,55 @@ def test_classify_circle_matches_point_walk(k, monkeypatch):
         for s in range(perm.size):
             x = sc.StatePoint(s)
             assert sc.classify(perm, x) == ref_classify(perm, x, steps)
+
+
+def apply_map_orbit(sys, x, n):
+    """forward_orbit as one apply_map step per point."""
+    out = [x]
+    for _ in range(n - 1):
+        out.append(sc.apply_map(sys, out[-1]))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from([2, 3, 5]),
+    num=st.integers(0, 10**40),
+    den=st.integers(1, 400) | st.just(2**128 + 1),
+    n=st.integers(1, 300),
+)
+@example(k=2, num=5, den=12, n=9)  # gcd(k, q) > 1: the residues leave lowest terms
+@example(k=5, num=7, den=250, n=6)  # reaches the fixed point 0
+@example(k=2, num=1, den=2**128 + 1, n=300)  # period 256, residues beyond int64
+@example(k=3, num=2, den=7, n=1)
+def test_forward_orbit_matches_apply_map_loop(k, num, den, n):
+    sys = sc.CircleTimesK(k)
+    x = sc.RationalPoint(Fraction(num % den, den))
+    got, want = sc.forward_orbit(sys, x, n), apply_map_orbit(sys, x, n)
+    assert got == want
+    assert got[0] is x
+    for p in got:
+        assert type(p) is sc.RationalPoint and type(p.value) is Fraction
+        assert 0 <= p.value < 1
+
+
+def test_forward_orbit_past_a_long_cycle():
+    sys = sc.CircleTimesK(2)
+    x = sc.rational(1, 2**128 + 1)
+    assert sc.classify(sys, x) == sc.Classification.periodic(256)
+    orbit = sc.forward_orbit(sys, x, 600)
+    assert orbit == apply_map_orbit(sys, x, 600)
+    assert orbit[256] == x and orbit[128].value == Fraction(2**128, 2**128 + 1)
+
+
+def test_forward_orbit_words_and_states_match_apply_map_loop(golden_mean):
+    perm = sc.PermutationSystem((1, 2, 0, 4, 3, 5))
+    cases = [(perm, sc.StatePoint(s)) for s in range(6)]
+    cases += [(golden_mean, w) for w in sc.periodic_points(golden_mean, 4)]
+    cases.append((golden_mean, sc.WordPoint((1, 0, 1, 0, 0), (0, 1))))
+    for sys, x in cases:
+        for n in (1, 2, 7, 20):
+            assert sc.forward_orbit(sys, x, n) == apply_map_orbit(sys, x, n)
 
 
 @pytest.mark.parametrize("k", [2, 3])
